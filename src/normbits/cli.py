@@ -23,7 +23,7 @@ from .discrepancy import (
     extreme_discrepancy,
     parse_points_file,
 )
-from .generators import GeneratorSpec
+from .generators import GeneratorSpec, file_bits
 from .measure import normality_fast, normality_naive
 from .orbit import lemma1_verify, orbit_points
 from .search import QUANTILE_KEYS, exhaustive_min, typical_scan
@@ -121,8 +121,7 @@ def _load_sequence(args) -> BitSequence:
             )
         return parse_bits(args.bits)
     if args.input is not None:
-        with open(args.input, "r", encoding="ascii") as fh:
-            return parse_bits("".join(fh.read().split()))
+        return file_bits(args.input)
     if args.n is None:
         raise ValueError("--gen requires --n")
     return GeneratorSpec.parse(args.gen).bits(args.n)

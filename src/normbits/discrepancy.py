@@ -15,10 +15,26 @@ Suprema reached only in the limit correspond to intervals closing onto a
 point; witness endpoints carry a "left-limit" / "right-limit" annotation
 ("left-limit" equals the attained value since g is left-continuous).
 
-Discrepancies of N points have denominators dividing N * lcm(point
-denominators), which is generally not a power of two, so this module works
-in Fraction space; the dyadic-points fast paths carry scaled integers and
-convert at the end.
+Points are integer numerators a over one denominator: 2^w for dyadic
+points (w <= 64), else the lcm of theirs. With a_(1) <= ... <= a_(M)
+sorted and f_i = i*den - M*a_(i), the right-limit of M*den*g at a_(i) is
+f_i for the last copy of a value, and its attained value is f_i - den for
+the first copy; other copies give smaller (larger) values. The boundary
+values g(0) = g(1) = 0 never decide: max f >= f_M = M*(den - a_(M)) > 0,
+and min f - den <= f_1 - den = -M*a_(1) <= 0, with equality only when
+a_(1) = 0, whose left-limit is the boundary t = 0 itself. So
+M*den*D = max f - min f + den, and the first ranks that attain max f and
+min f are the witness ends a sweep in boundary order would pick.
+
+For den = 2^w, f needs up to w + log2(M) bits. The kernel splits
+a = ah*2^s + al with s = max(0, w - 32) and evaluates the int64
+hi_i = i*2^(w-s) - M*ah_i. Since f_i = 2^s*hi_i - M*al_i with
+0 <= al_i < 2^s, f_i lies in (2^s*(hi_i - M), 2^s*hi_i]: only ranks with
+hi_i > max(hi) - M can attain max f, and only ranks with
+hi_i < min(hi) + M can attain min f. Those few are finished in Python
+ints; for w <= 32, s = 0 and hi is f. The kernel serves a single set
+(M = N after one sort) and every step of the all-prefix engine (M = m
+after one sorted insert).
 """
 
 from __future__ import annotations
@@ -116,21 +132,11 @@ class PointSet:
         """(numerators, w) over a common denominator 2^w, if one exists."""
         if self._nums is None and not self._dyadic_checked:
             self._dyadic_checked = True
-            w = 0
-            for f in self._fracs:
-                den = f.denominator
-                if den & (den - 1):
-                    return None
-                w = max(w, den.bit_length() - 1)
-            if w <= 64:
-                nums = np.array(
-                    [
-                        f.numerator << (w - (f.denominator.bit_length() - 1))
-                        for f in self._fracs
-                    ],
-                    dtype=np.uint64,
-                )
-                self._nums = nums
+            den = math.lcm(*(f.denominator for f in self._fracs))
+            w = den.bit_length() - 1
+            if den == 1 << w and w <= 64:
+                nums = [f.numerator * (den // f.denominator) for f in self._fracs]
+                self._nums = np.array(nums, dtype=np.uint64)
                 self._log2_den = w
         if self._nums is None:
             return None
@@ -199,50 +205,38 @@ class PhiEnvelope:
     values: tuple[Fraction, ...]
 
 
-def _candidates(values: Sequence[Fraction], n: int):
-    """Deviation-function candidates in boundary order.
-
-    Yields (g, location, side) with g the candidate value of the deviation
-    function, ordered by boundary position (value, then left before right).
-    """
-    counter = Counter(values)
-    yield Fraction(0), Fraction(0), LEFT_LIMIT  # t = 0
-    below = 0
-    for v in sorted(counter):
-        yield Fraction(below, n) - v, v, LEFT_LIMIT
-        below += counter[v]
-        yield Fraction(below, n) - v, v, RIGHT_LIMIT
-    yield Fraction(0), Fraction(1), LEFT_LIMIT  # t = 1
-
-
 def extreme_discrepancy(points: PointSet) -> DiscrepancyReport:
     """Exact extreme (and star) discrepancy via the deviation function."""
     n = points.size
     if n == 0:
         raise ValueError("empty point set")
-    hi = lo = None  # (g, location, side), first in boundary order
-    for cand in _candidates(points.values, n):
-        if hi is None or cand[0] > hi[0]:
-            hi = cand
-        if lo is None or cand[0] < lo[0]:
-            lo = cand
-    extreme = hi[0] - lo[0]
-    star = max(hi[0], -lo[0])
-    # Boundary order decides which extremum is the left endpoint.
-    lo_key = (lo[1], lo[2] == RIGHT_LIMIT)
-    hi_key = (hi[1], hi[2] == RIGHT_LIMIT)
-    if lo_key <= hi_key:
-        a, b = lo, hi
+    dy = points.dyadic_view()
+    if dy is not None and n < (1 << 31):
+        nums, w = dy
+        a = np.sort(nums)
+        ah, ranks = _split(a, w)
+        fmax, imax, fmin, imin = _rank_extremes(a, ah, ranks, np.empty_like(ah), w)
+        den = 1 << w
+        amax, amin = int(a[imax]), int(a[imin])
     else:
-        a, b = hi, lo
+        den = math.lcm(*(v.denominator for v in points.values))
+        a = sorted(v.numerator * (den // v.denominator) for v in points.values)
+        f = [(i + 1) * den - n * v for i, v in enumerate(a)]
+        fmax, fmin = max(f), min(f)
+        amax, amin = a[f.index(fmax)], a[f.index(fmin)]
+    hi = (Fraction(fmax, n * den), Fraction(amax, den), RIGHT_LIMIT)
+    lo = (Fraction(fmin - den, n * den), Fraction(amin, den), LEFT_LIMIT)
+    # Boundary order decides which extremum is the left endpoint; lo is a
+    # left-limit, so it comes first at a shared location.
+    left, right = (lo, hi) if lo[1] <= hi[1] else (hi, lo)
     return DiscrepancyReport(
         n=n,
-        extreme=extreme,
-        star=star,
-        witness_a=a[1],
-        witness_a_side=a[2],
-        witness_b=b[1],
-        witness_b_side=b[2],
+        extreme=hi[0] - lo[0],
+        star=max(hi[0], -lo[0]),
+        witness_a=left[1],
+        witness_a_side=left[2],
+        witness_b=right[1],
+        witness_b_side=right[2],
     )
 
 
@@ -283,67 +277,53 @@ def extreme_discrepancy_reference(points: PointSet) -> Fraction:
     return Fraction(best, n * den)
 
 
-# -- all-prefix engine ---------------------------------------------------
+# -- the integer kernel and the all-prefix engine ----------------------------
 
 
-def _insert_sorted(buf: np.ndarray, m: int, value) -> None:
-    """Insert value into the sorted buf[:m], shifting the tail right."""
-    pos = int(np.searchsorted(buf[:m], value))
-    if pos < m:
-        buf[pos + 1 : m + 1] = buf[pos:m].copy()
-    buf[pos] = value
+def _split(nums: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """The high parts a >> s as int64, and ranks[i] = (i+1)*2^(w-s)."""
+    s = max(0, w - 32)
+    highs = (nums >> np.uint64(s)).astype(np.int64)
+    return highs, np.arange(1, nums.size + 1, dtype=np.int64) << (w - s)
 
 
-def _prefix_dev_numerators_small(nums: np.ndarray, w: int) -> list[int]:
-    """Per-prefix integer 2^w * M * D_M for w <= 31 (single int64 limb)."""
-    n = int(nums.size)
-    a = nums.astype(np.int64)
-    iw = np.arange(1, n + 1, dtype=np.int64) << w
-    buf = np.empty(n, dtype=np.int64)
-    scratch = np.empty(n, dtype=np.int64)
-    one = 1 << w
-    out = []
-    for m in range(1, n + 1):
-        _insert_sorted(buf, m - 1, a[m - 1])
-        f = scratch[:m]
-        np.multiply(buf[:m], m, out=f)
-        np.subtract(iw[:m], f, out=f)
-        fmax = int(f.max())
-        fmin = int(f.min())
-        out.append(max(0, fmax) + max(0, one - fmin))
-    return out
+def _rank_extremes(a: np.ndarray, ah: np.ndarray, ranks: np.ndarray, out, w: int):
+    """(fmax, imax, fmin, imin) of f_i = (i+1)*2^w - m*a[i] over sorted a.
 
-
-def _prefix_dev_numerators_wide(nums: np.ndarray, w: int) -> list[int]:
-    """Per-prefix integer 2^w * M * D_M for 32 <= w <= 64.
-
-    The rank expressions i*2^w - M*a_(i) need up to w + log2(N) bits, so
-    they are carried as two int64 limbs over base 2^32 in canonical form
-    (hi*2^32 + lo with 0 <= lo < 2^32); the extreme is found by maximizing
-    the high limb and then the low limb among its holders.
+    ah holds the high parts of a (a itself when w <= 32), and out is int64
+    scratch. Each index is the first that attains its extreme. Exact for
+    m < 2^31, where every |hi_i| < m*2^32 fits int64.
     """
-    n = int(nums.size)
-    buf = np.empty(n, dtype=np.uint64)
-    iw = np.arange(1, n + 1, dtype=np.int64) * (1 << (w - 32))
-    mask = np.uint64(0xFFFFFFFF)
-    one = 1 << w
-    out = []
-    for m in range(1, n + 1):
-        _insert_sorted(buf, m - 1, nums[m - 1])
-        u = buf[:m]
-        ah = (u >> np.uint64(32)).astype(np.int64)
-        al = (u & mask).astype(np.int64)
-        hi = iw[:m] - m * ah  # A limb before borrow
-        b = m * al
-        borrow = (b + 0xFFFFFFFF) >> 32
-        hi -= borrow
-        lo = (borrow << 32) - b
-        h = int(hi.max())
-        fmax = (h << 32) + int(lo[hi == h].max())
-        h = int(hi.min())
-        fmin = (h << 32) + int(lo[hi == h].min())
-        out.append(max(0, fmax) + max(0, one - fmin))
-    return out
+    m = ah.size
+    hi = np.multiply(ah, m, out=out[:m])
+    np.subtract(ranks[:m], hi, out=hi)
+    imax = int(hi.argmax())
+    imin = int(hi.argmin())
+    if w <= 32:
+        return int(hi[imax]), imax, int(hi[imin]), imin
+    return (*_finish(hi, a, w, imax, max), *_finish(hi, a, w, imin, min))
+
+
+def _finish(hi: np.ndarray, a: np.ndarray, w: int, i: int, pick):
+    """Exact (f, first rank) of one extreme of f, for pick max or min.
+
+    i is the first rank that attains that extreme of hi. A rank at or
+    beyond band, M from hi[i], cannot attain the extreme of f; one argmax
+    (argmin) with hi[i] set to band tells whether any other rank is inside.
+    """
+    m = hi.size
+    h = int(hi[i])
+    if pick is max:
+        band, arg, inside = h - m, np.argmax, np.greater
+    else:
+        band, arg, inside = h + m, np.argmin, np.less
+    hi[i] = band
+    alone = hi[arg(hi)] == band
+    hi[i] = h
+    idx = [i] if alone else np.flatnonzero(inside(hi, band)).tolist()
+    f = [((j + 1) << w) - m * int(a[j]) for j in idx]
+    best = pick(f)
+    return best, idx[f.index(best)]
 
 
 def prefix_deviation_numerators(nums: np.ndarray, w: int) -> list[int]:
@@ -351,15 +331,33 @@ def prefix_deviation_numerators(nums: np.ndarray, w: int) -> list[int]:
 
     M * D_M shares the denominator 2^w for every M, so the running maximum
     of these integers is the scaled envelope of the Lemma-style bound.
+    Each step inserts one point into the sorted numerators and high parts,
+    then runs the kernel with M = m.
     """
+    nums = np.asarray(nums, dtype=np.uint64)
     n = int(nums.size)
     if not 0 <= w <= 64:
         raise ValueError(f"w={w} outside [0, 64]")
     if n >= (1 << 26):
         raise ValueError("prefix engine supports at most 2^26 points")
-    if w <= 31:
-        return _prefix_dev_numerators_small(nums, w)
-    return _prefix_dev_numerators_wide(nums, w)
+    highs, ranks = _split(nums, w)
+    ah = np.empty(n, dtype=np.int64)
+    out = np.empty(n, dtype=np.int64)
+    # For w <= 32 the high part is the numerator, and one array serves.
+    wide = w > 32
+    keys, a = (nums, np.empty(n, dtype=np.uint64)) if wide else (highs, ah)
+    one = 1 << w
+    res = []
+    for m in range(n):
+        pos = int(np.searchsorted(a[:m], keys[m]))
+        a[pos + 1 : m + 1] = a[pos:m]
+        a[pos] = keys[m]
+        if wide:
+            ah[pos + 1 : m + 1] = ah[pos:m]
+            ah[pos] = highs[m]
+        fmax, _, fmin, _ = _rank_extremes(a[: m + 1], ah[: m + 1], ranks, out, w)
+        res.append(fmax - fmin + one)
+    return res
 
 
 def prefix_discrepancies(points: PointSet) -> list[Fraction]:

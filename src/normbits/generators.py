@@ -5,7 +5,8 @@ Four kinds are supported:
 * ``champernowne`` - the base-2 Champernowne expansion 1|10|11|100|...
 * ``rational:p/q`` - binary digits of p/q by long division (0 <= p < q)
 * ``random:SEED``  - splitmix64 keystream bits (see below)
-* ``file:PATH``    - ASCII {0,1} file, whitespace ignored
+* ``file:PATH``    - bit-text file: {0,1} digits (whitespace ignored) or
+  one ``hex:<digits>/<length>`` form
 
 Seeded randomness uses splitmix64 (Steele, Lea & Flood's SplittableRandom
 finalizer), never the platform RNG: the i-th 64-bit output for seed s is
@@ -22,7 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .bitcore import BitSequence
+from .bitcore import BitSequence, parse_bits
 
 __all__ = [
     "RANDOM_ALGORITHM",
@@ -30,6 +31,7 @@ __all__ = [
     "rational_bits",
     "random_bits",
     "file_bits",
+    "StreamExhausted",
     "splitmix64_outputs",
     "sample_seed",
     "GeneratorSpec",
@@ -102,16 +104,27 @@ def rational_bits(p: int, q: int, n: int) -> BitSequence:
     return BitSequence.from_numpy(np.frombuffer(bytes(out), dtype=np.uint8))
 
 
-def file_bits(path: str, n: int) -> BitSequence:
-    """First n digits from an ASCII {0,1} file; whitespace is ignored."""
+class StreamExhausted(ValueError):
+    """A digit source holds fewer digits than were asked for."""
+
+
+def file_bits(path: str, n: Optional[int] = None) -> BitSequence:
+    """First n digits (all when n is None) of a bit-text file.
+
+    The text, with all whitespace removed, is read by parse_bits: {0,1}
+    digits or one "hex:<digits>/<length>" form.
+    """
     with open(path, "r", encoding="ascii") as fh:
         text = "".join(fh.read().split())
-    bad = set(text) - {"0", "1"}
-    if bad:
-        raise ValueError(f"{path}: invalid digit(s) {sorted(bad)}")
-    if len(text) < n:
-        raise ValueError(f"{path}: stream exhausted ({len(text)} < {n} digits)")
-    return BitSequence.from01(text[:n])
+    try:
+        seq = parse_bits(text)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if n is None:
+        return seq
+    if len(seq) < n:
+        raise StreamExhausted(f"{path}: stream exhausted ({len(seq)} < {n} digits)")
+    return seq.prefix(n)
 
 
 class DigitStream:
@@ -128,7 +141,7 @@ class DigitStream:
     def prefix(self, n: int) -> BitSequence:
         seq = self._produce(n)
         if len(seq) != n:
-            raise ValueError(f"{self.label}: stream exhausted before {n} digits")
+            raise StreamExhausted(f"{self.label}: stream exhausted before {n} digits")
         return seq
 
     def __repr__(self):

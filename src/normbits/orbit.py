@@ -29,7 +29,7 @@ import numpy as np
 
 from .bitcore import BitSequence, ExactValue, Pattern, decimal_str
 from .discrepancy import PointSet, prefix_deviation_numerators
-from .generators import DigitStream
+from .generators import DigitStream, StreamExhausted
 from .measure import max_block_length, normality_fast
 
 __all__ = [
@@ -59,6 +59,17 @@ def _check_window(n: int, w: int) -> None:
         raise ValueError(f"w={w} too small for n={n}; need w >= {need}")
 
 
+def _orbit_digits(stream: DigitStream, count: int, w: int) -> BitSequence:
+    """The count + w - 1 digits that count orbit points of w bits read."""
+    need = count + w - 1
+    try:
+        return stream.prefix(need)
+    except StreamExhausted as exc:
+        raise ValueError(
+            f"{exc}; {count} orbit points of {w} bits need n + w - 1 = {need} digits"
+        ) from None
+
+
 def orbit_points(stream: DigitStream, n: int, w: int) -> PointSet:
     """First n orbit points of the stream's expansion, truncated to w bits.
 
@@ -69,7 +80,7 @@ def orbit_points(stream: DigitStream, n: int, w: int) -> PointSet:
     if n < 0:
         raise ValueError("n must be >= 0")
     _check_window(n, w)
-    digits = stream.prefix(n + w - 1) if n else BitSequence()
+    digits = _orbit_digits(stream, n, w) if n else BitSequence()
     nums = _window_numerators(digits.to_numpy(), n, w)
     return PointSet.from_dyadic(nums, w)
 
@@ -87,7 +98,7 @@ def count_via_orbit(stream: DigitStream, m: int, pattern: Pattern, w: int) -> in
         raise ValueError(f"window bits w={w} outside [1, 64]")
     if pattern.k > w:
         raise ValueError(f"pattern length {pattern.k} exceeds window bits {w}")
-    digits = stream.prefix(m + w - 1)
+    digits = _orbit_digits(stream, m, w)
     nums = _window_numerators(digits.to_numpy(), m, w)
     top = nums >> np.uint64(w - pattern.k) if pattern.k < w else nums
     return int((top == np.uint64(pattern.value)).sum())
@@ -175,7 +186,7 @@ def lemma1_verify(
             raise ValueError("empty checkpoint list")
         if cps[0] < 1 or cps[-1] > n:
             raise ValueError(f"checkpoints must lie in [1, {n}]")
-    digits = stream.prefix(n + w - 1)
+    digits = _orbit_digits(stream, n, w)
     nums = _window_numerators(digits.to_numpy(), n, w)
     dnums = prefix_deviation_numerators(nums, w)
     env = []

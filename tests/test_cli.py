@@ -45,6 +45,18 @@ class TestMeasure:
         assert code == 0
         assert json.loads(out)["config"]["n"] == 4
 
+    def test_hex_file_both_routes(self, cap, tmp_path):
+        path = tmp_path / "h16.txt"
+        path.write_text("hex:6996/16\n")
+        code, out, _ = cap(["measure", "--input", str(path)])
+        assert code == 0
+        via_input = json.loads(out)["report"]
+        code, out, err = cap(["measure", "--gen", f"file:{path}", "--n", "16"])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["report"] == via_input
+        expected = json.loads(cap(["measure", "--bits", "0110100110010110"])[1])
+        assert via_input == expected["report"]
+
     def test_requires_one_source(self, cap):
         assert cap(["measure"])[0] == 2
         assert cap(["measure", "--bits", "01", "--gen", "random:1"])[0] == 2
@@ -92,6 +104,18 @@ class TestDiscrepancy:
         code, out, _ = cap(["discrepancy", "--points", str(path), "--format", "csv"])
         assert code == 0
         assert "stat,num,den,decimal" in out
+
+
+@pytest.mark.parametrize("subcommand", ["discrepancy", "verify-lemma"])
+def test_short_file_stream_names_needed_digits(cap, tmp_path, subcommand):
+    path = tmp_path / "h16.txt"
+    path.write_text("hex:6996/16\n")
+    argv = [subcommand, "--gen", f"file:{path}", "--n", "10", "--w", "14"]
+    code, out, err = cap(argv)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert "16 < 23 digits" in err
+    assert "10 orbit points of 14 bits need n + w - 1 = 23 digits" in err
 
 
 class TestVerifyLemma:

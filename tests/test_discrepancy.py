@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from normbits.bitcore import ExactValue
 from normbits.discrepancy import (
@@ -21,6 +23,55 @@ from normbits.discrepancy import (
 
 def random_dyadic_set(rng: random.Random, n: int, w: int) -> PointSet:
     return PointSet(Fraction(rng.randrange(1 << w), 1 << w) for _ in range(n))
+
+
+def assert_witness_recounts(pts: PointSet, rep) -> None:
+    """Count the points in [a, b), honoring the sides, and check that
+    |count/N - (b - a)| is the reported extreme discrepancy."""
+    a, b = rep.witness_a, rep.witness_b
+    count = 0
+    for y in pts.values:
+        lo_ok = y >= a if rep.witness_a_side == LEFT_LIMIT else y > a
+        hi_ok = y < b if rep.witness_b_side == LEFT_LIMIT else y <= b
+        count += lo_ok and hi_ok
+    assert abs(Fraction(count, pts.size) - (b - a)) == rep.extreme
+
+
+@st.composite
+def dyadic_lists(draw):
+    """(w, numerators) with w in [0, 64] and many duplicates and zeros.
+
+    Values also come from the top half of [0, 2^w) (at or above 2^63 for
+    w = 64) and from just above 0 and 2^(w-1): such pairs have equal or
+    close high parts but a different exact order of f, which only the
+    high-limb filter's exact finish gets right.
+    """
+    w = draw(st.one_of(st.sampled_from([31, 32, 33, 63, 64]), st.integers(0, 64)))
+    top = (1 << w) - 1
+    half = top - top // 2
+    value = st.one_of(
+        st.just(0),
+        st.just(top),
+        st.integers(0, top),
+        st.integers(half, top),
+        st.integers(0, min(top, 8)),
+        st.integers(half, min(top, half + 8)),
+    )
+    pool = draw(st.lists(value, min_size=1, max_size=4))
+    either = st.one_of(st.sampled_from(pool), value)
+    return w, draw(st.lists(either, min_size=1, max_size=20))
+
+
+_DYADIC_EXAMPLES = [
+    (32, [0, (1 << 32) - 1, 0, 1 << 31, 1 << 31, 7]),
+    (33, [(1 << 33) - 1, 0, 1 << 32, (1 << 32) - 1, 1 << 32, 0]),
+    (64, [1 << 63, 0, (1 << 64) - 1, 1 << 63, 0, (1 << 63) + 1, (1 << 64) - 2]),
+    (64, [5, 1 << 63]),  # equal high parts; the exact max is the second rank
+    # hi of the second rank is 2 below (1 above) the first's, inside the
+    # band of M = 3, and its exact f is the larger (smaller) one.
+    (64, [(1 << 32) - 1, 1431655766 << 32, (1 << 64) - 1]),
+    (64, [2863311520 << 32, (4294967285 << 32) + (1 << 32) - 1, (1 << 64) - 1]),
+]
 
 
 class TestExtremeDiscrepancy:
@@ -65,18 +116,19 @@ class TestExtremeDiscrepancy:
 
     def test_witness_interval_reproduces_value(self):
         rng = random.Random(5)
-        for _ in range(30):
-            pts = random_dyadic_set(rng, rng.randint(1, 40), 8)
-            rep = extreme_discrepancy(pts)
-            n = pts.size
-            # count points in [a, b) honoring the side annotations
-            a, b = rep.witness_a, rep.witness_b
-            count = 0
-            for y in pts.values:
-                lo_ok = y >= a if rep.witness_a_side == LEFT_LIMIT else y > a
-                hi_ok = y < b if rep.witness_b_side == LEFT_LIMIT else y <= b
-                count += lo_ok and hi_ok
-            assert abs(Fraction(count, n) - (b - a)) == rep.extreme
+        top = (1 << 64) - 1
+        sets = [random_dyadic_set(rng, rng.randint(1, 40), 8) for _ in range(30)]
+        sets += [
+            PointSet([Fraction(0)]),
+            PointSet.from_dyadic([0, 0, 5, 5, 5, 255], 8),
+            PointSet.from_dyadic(range(4), 2),  # every extreme ties
+            PointSet.from_dyadic([top, top, top - 1, 0, 1 << 63, 1 << 63], 64),
+            PointSet.from_dyadic([top - i for i in range(40)], 64),
+            PointSet.from_dyadic([top - i % 3 for i in range(40)] + [0, 0], 64),
+            PointSet([Fraction(1, 3), Fraction(2, 3), Fraction(1, 3), Fraction(0)]),
+        ]
+        for pts in sets:
+            assert_witness_recounts(pts, extreme_discrepancy(pts))
 
 
 class TestOracleAgreement:
@@ -177,6 +229,36 @@ class TestPrefixDiscrepancies:
         for m in range(1, len(nums) + 1):
             slow = extreme_discrepancy(PointSet(values[:m])).extreme
             assert Fraction(dnums[m - 1], m << 64) == slow, m
+
+    @settings(max_examples=150, deadline=None)
+    @given(dyadic_lists())
+    @example(_DYADIC_EXAMPLES[0])
+    @example(_DYADIC_EXAMPLES[1])
+    @example(_DYADIC_EXAMPLES[2])
+    @example(_DYADIC_EXAMPLES[3])
+    @example(_DYADIC_EXAMPLES[4])
+    @example(_DYADIC_EXAMPLES[5])
+    def test_engine_matches_reference_oracle(self, case):
+        # The engine and extreme_discrepancy share the integer kernel, so the
+        # independent check is the brute-force pair enumeration.
+        w, nums = case
+        pts = PointSet.from_dyadic(nums, w)
+        dnums = prefix_deviation_numerators(np.array(nums, dtype=np.uint64), w)
+        for m in range(1, len(nums) + 1):
+            ref = extreme_discrepancy_reference(pts.prefix(m))
+            assert Fraction(dnums[m - 1], m << w) == ref, m
+
+    @settings(max_examples=150, deadline=None)
+    @given(dyadic_lists())
+    @example(_DYADIC_EXAMPLES[3])
+    @example(_DYADIC_EXAMPLES[4])
+    @example(_DYADIC_EXAMPLES[5])
+    def test_single_set_matches_reference_and_recounts(self, case):
+        w, nums = case
+        pts = PointSet.from_dyadic(nums, w)
+        rep = extreme_discrepancy(pts)
+        assert rep.extreme == extreme_discrepancy_reference(pts)
+        assert_witness_recounts(pts, rep)
 
     def test_dyadic_view_from_fractions(self):
         pts = PointSet([Fraction(1, 2), Fraction(3, 8), Fraction(0)])

@@ -5,6 +5,7 @@ import pytest
 from normbits.generators import (
     GeneratorSpec,
     champernowne_bits,
+    StreamExhausted,
     file_bits,
     random_bits,
     rational_bits,
@@ -112,6 +113,16 @@ class TestFileAndSpec:
         path.write_text("01")
         with pytest.raises(ValueError, match="exhausted"):
             file_bits(str(path), 5)
+
+    def test_file_hex_form(self, tmp_path):
+        path = tmp_path / "digits.txt"
+        path.write_text("hex:6996/16\n")
+        assert file_bits(str(path), 10).to01() == "0110100110"
+        assert file_bits(str(path)).to01() == "0110100110010110"
+        spec = GeneratorSpec.parse(f"file:{path}")
+        assert spec.bits(16) == file_bits(str(path))
+        with pytest.raises(StreamExhausted, match="16 < 17"):
+            spec.stream().prefix(17)
 
     def test_file_invalid(self, tmp_path):
         path = tmp_path / "digits.txt"

@@ -1,0 +1,79 @@
+"""Golden CLI corpus: `discrepancy` and `verify-lemma` payloads, JSON and
+CSV, must stay byte-identical to the files under tests/golden/.
+
+The corpus covers the window widths on both sides of every limb boundary
+(w = 8, 31, 32, 33, 64), three generators, and four points files: with
+duplicates and the point 0, with numerators near 2^64, a lattice whose
+extremes tie with the boundary t = 0, and a lattice shifted by 2^-64 whose
+ties fall inside the high-limb filter's band. Commands run with
+tests/golden/ as the working directory, so the points paths recorded in
+each payload's config are relative.
+
+Re-record only for an intended, documented payload change:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import io
+import os
+import sys
+from pathlib import Path
+
+import pytest
+
+from normbits.cli import run
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def _cases() -> list[tuple[str, list[str]]]:
+    cases = []
+    for fmt in ("json", "csv"):
+        for gen in ("champernowne", "random:1", "rational:1/3"):
+            tag = gen.replace(":", "").replace("/", "_")
+            for w in (8, 31, 32, 33, 64):
+                n = 200 if w == 8 else 512
+                for sub in ("discrepancy", "verify-lemma"):
+                    argv = [sub, "--gen", gen, "--n", str(n), "--w", str(w)]
+                    cases.append((f"{sub}_{tag}_w{w}.{fmt}", argv + ["--format", fmt]))
+        for points in (
+            "points_narrow.txt",
+            "points_wide.txt",
+            "points_lattice.txt",
+            "points_shifted_lattice.txt",
+        ):
+            argv = ["discrepancy", "--points", points, "--format", fmt]
+            cases.append((f"discrepancy_{Path(points).stem}.{fmt}", argv))
+    return cases
+
+
+def _invoke(argv: list[str]) -> tuple[int, str]:
+    out = io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(GOLDEN)
+    try:
+        with contextlib.redirect_stdout(out):
+            code = run(argv)
+    finally:
+        os.chdir(cwd)
+    return code, out.getvalue()
+
+
+CASES = _cases()
+
+
+@pytest.mark.parametrize("name,argv", CASES, ids=[name for name, _ in CASES])
+def test_payload_byte_identical(name, argv):
+    code, text = _invoke(argv)
+    assert code == 0
+    assert text == (GOLDEN / name).read_text(encoding="ascii")
+
+
+if __name__ == "__main__":
+    for name, argv in CASES:
+        code, text = _invoke(argv)
+        if code != 0:
+            sys.exit(f"{name}: exit code {code}")
+        (GOLDEN / name).write_text(text, encoding="ascii")
+        print(name)
