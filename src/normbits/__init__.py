@@ -6,15 +6,11 @@ from .bitcore import (
     DyadicInterval,
     ExactValue,
     Pattern,
-    format_bits,
     format_bits_hex,
-    interval_contains,
     parse_bits,
-    pattern_to_interval,
 )
 from .discrepancy import (
     DiscrepancyReport,
-    PhiEnvelope,
     PointSet,
     extreme_discrepancy,
     extreme_discrepancy_reference,
@@ -53,17 +49,13 @@ __all__ = [
     "ExactValue",
     "Pattern",
     "parse_bits",
-    "format_bits",
     "format_bits_hex",
-    "pattern_to_interval",
-    "interval_contains",
     "NormalityReport",
     "count_occurrences",
     "normality_naive",
     "normality_fast",
     "PointSet",
     "DiscrepancyReport",
-    "PhiEnvelope",
     "extreme_discrepancy",
     "extreme_discrepancy_reference",
     "prefix_discrepancies",

@@ -26,10 +26,7 @@ __all__ = [
     "Pattern",
     "DyadicInterval",
     "parse_bits",
-    "format_bits",
     "format_bits_hex",
-    "pattern_to_interval",
-    "interval_contains",
     "decimal_str",
 ]
 
@@ -355,15 +352,6 @@ class DyadicInterval:
         return self.numerator <= scaled < self.numerator + 1
 
 
-def pattern_to_interval(x: Pattern) -> DyadicInterval:
-    """Interval of all reals in [0,1) whose first k digits equal the pattern."""
-    return DyadicInterval(level=x.k, numerator=x.value)
-
-
-def interval_contains(interval: DyadicInterval, p: Union[ExactValue, Fraction]) -> bool:
-    return interval.contains(p)
-
-
 def parse_bits(text: str) -> BitSequence:
     """Parse a bit string, either plain ASCII over {0,1} or "hex:<digits>/<length>".
 
@@ -396,11 +384,6 @@ def parse_bits(text: str) -> BitSequence:
         )
         return BitSequence.from_numpy(arr)
     return BitSequence.from01(text)
-
-
-def format_bits(seq: BitSequence) -> str:
-    """Canonical text form; round-trips through parse_bits."""
-    return seq.to01()
 
 
 def format_bits_hex(seq: BitSequence) -> str:

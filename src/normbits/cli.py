@@ -17,12 +17,8 @@ import json
 import sys
 from typing import Optional
 
-from .bitcore import parse_bits
-from .discrepancy import (
-    PointSet,
-    extreme_discrepancy,
-    parse_points_file,
-)
+from .bitcore import BitSequence, parse_bits
+from .discrepancy import extreme_discrepancy, parse_points_file
 from .generators import GeneratorSpec, file_bits
 from .measure import normality_fast, normality_naive
 from .orbit import lemma1_verify, orbit_points

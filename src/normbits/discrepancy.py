@@ -39,11 +39,12 @@ after one sorted insert).
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Union
 
 import numpy as np
 
@@ -52,9 +53,9 @@ from .bitcore import ExactValue, decimal_str
 __all__ = [
     "PointSet",
     "DiscrepancyReport",
-    "PhiEnvelope",
     "extreme_discrepancy",
     "extreme_discrepancy_reference",
+    "prefix_deviation_numerators",
     "prefix_discrepancies",
     "phi_envelope",
     "parse_points_file",
@@ -65,38 +66,28 @@ __all__ = [
 LEFT_LIMIT = "left-limit"
 RIGHT_LIMIT = "right-limit"
 
-PointLike = Union[Fraction, ExactValue, int]
-
-
-def _as_fraction(value: PointLike) -> Fraction:
-    if isinstance(value, ExactValue):
-        return value.as_fraction()
-    if isinstance(value, Fraction):
-        return value
-    return Fraction(value)
-
-
 class PointSet:
     """Finite multiset of exact points in [0,1), kept in arrival order.
 
-    Orbit pipelines construct point sets from integer numerators over a
-    shared denominator 2^w (``from_dyadic``); those keep a packed integer
-    view that the fast prefix engine consumes. Arbitrary exact rationals
-    are accepted too and are handled by the Fraction paths.
+    The points are the integer numerators ``nums`` over one common
+    denominator ``den``: a uint64 array when den = 2^w with w <= 64 (the
+    form the integer kernel consumes), else an object array of Python ints
+    over the lcm of the points' denominators.
     """
 
-    def __init__(self, values: Iterable[PointLike]):
+    def __init__(self, values: Iterable[Union[Fraction, ExactValue, int]]):
         fracs = []
         for v in values:
-            f = _as_fraction(v)
+            f = v.as_fraction() if isinstance(v, ExactValue) else Fraction(v)
             if not 0 <= f < 1:
                 raise ValueError(f"point {f} outside [0, 1)")
             fracs.append(f)
-        self._fracs: Optional[tuple[Fraction, ...]] = tuple(fracs)
-        self._nums: Optional[np.ndarray] = None
-        self._log2_den: Optional[int] = None
-        self._size = len(fracs)
-        self._dyadic_checked = False
+        den = math.lcm(*(f.denominator for f in fracs))
+        nums = [f.numerator * (den // f.denominator) for f in fracs]
+        w = den.bit_length() - 1
+        dyadic = den == 1 << w and w <= 64
+        self.nums = np.array(nums, dtype=np.uint64 if dyadic else object)
+        self.den = den
 
     @classmethod
     def from_dyadic(cls, numerators, log2_den: int) -> "PointSet":
@@ -107,50 +98,33 @@ class PointSet:
             raise ValueError("numerators must be one-dimensional")
         if log2_den < 64 and nums.size and int(nums.max()) >= (1 << log2_den):
             raise ValueError(f"numerator >= 2^{log2_den}")
+        return cls._of(nums, 1 << log2_den)
+
+    @classmethod
+    def _of(cls, nums: np.ndarray, den: int) -> "PointSet":
         ps = cls.__new__(cls)
-        ps._fracs = None
-        ps._nums = nums
-        ps._log2_den = log2_den
-        ps._size = int(nums.size)
-        ps._dyadic_checked = True
+        ps.nums = nums
+        ps.den = den
         return ps
 
     @property
     def size(self) -> int:
-        return self._size
+        return int(self.nums.size)
 
     @property
     def values(self) -> tuple[Fraction, ...]:
-        if self._fracs is None:
-            den = 1 << self._log2_den
-            self._fracs = tuple(
-                Fraction(int(a), den) for a in self._nums.tolist()
-            )
-        return self._fracs
+        return tuple(Fraction(a, self.den) for a in self.nums.tolist())
 
     def dyadic_view(self) -> Optional[tuple[np.ndarray, int]]:
         """(numerators, w) over a common denominator 2^w, if one exists."""
-        if self._nums is None and not self._dyadic_checked:
-            self._dyadic_checked = True
-            den = math.lcm(*(f.denominator for f in self._fracs))
-            w = den.bit_length() - 1
-            if den == 1 << w and w <= 64:
-                nums = [f.numerator * (den // f.denominator) for f in self._fracs]
-                self._nums = np.array(nums, dtype=np.uint64)
-                self._log2_den = w
-        if self._nums is None:
+        if self.nums.dtype != np.uint64:
             return None
-        return self._nums, self._log2_den
+        return self.nums, self.den.bit_length() - 1
 
     def prefix(self, m: int) -> "PointSet":
-        if not 0 <= m <= self._size:
-            raise ValueError(f"prefix length {m} outside [0, {self._size}]")
-        if self._nums is not None:
-            return PointSet.from_dyadic(self._nums[:m], self._log2_den)
-        return PointSet(self._fracs[:m])
-
-    def __len__(self) -> int:
-        return self._size
+        if not 0 <= m <= self.size:
+            raise ValueError(f"prefix length {m} outside [0, {self.size}]")
+        return PointSet._of(self.nums[:m], self.den)
 
 
 @dataclass(frozen=True)
@@ -198,29 +172,21 @@ class DiscrepancyReport:
         }
 
 
-@dataclass(frozen=True)
-class PhiEnvelope:
-    """Minimal nondecreasing envelope with values[M-1] >= M * D_M."""
-
-    values: tuple[Fraction, ...]
-
-
 def extreme_discrepancy(points: PointSet) -> DiscrepancyReport:
     """Exact extreme (and star) discrepancy via the deviation function."""
     n = points.size
     if n == 0:
         raise ValueError("empty point set")
+    den = points.den
     dy = points.dyadic_view()
     if dy is not None and n < (1 << 31):
         nums, w = dy
         a = np.sort(nums)
         ah, ranks = _split(a, w)
         fmax, imax, fmin, imin = _rank_extremes(a, ah, ranks, np.empty_like(ah), w)
-        den = 1 << w
         amax, amin = int(a[imax]), int(a[imin])
     else:
-        den = math.lcm(*(v.denominator for v in points.values))
-        a = sorted(v.numerator * (den // v.denominator) for v in points.values)
+        a = sorted(points.nums.tolist())
         f = [(i + 1) * den - n * v for i, v in enumerate(a)]
         fmax, fmin = max(f), min(f)
         amax, amin = a[f.index(fmax)], a[f.index(fmin)]
@@ -339,7 +305,7 @@ def prefix_deviation_numerators(nums: np.ndarray, w: int) -> list[int]:
     if not 0 <= w <= 64:
         raise ValueError(f"w={w} outside [0, 64]")
     if n >= (1 << 26):
-        raise ValueError("prefix engine supports at most 2^26 points")
+        raise ValueError("prefix engine supports fewer than 2^26 points")
     highs, ranks = _split(nums, w)
     ah = np.empty(n, dtype=np.int64)
     out = np.empty(n, dtype=np.int64)
@@ -362,34 +328,23 @@ def prefix_deviation_numerators(nums: np.ndarray, w: int) -> list[int]:
 
 def prefix_discrepancies(points: PointSet) -> list[Fraction]:
     """D_1, ..., D_N where D_M is the extreme discrepancy of the first M
-    points in arrival order."""
-    n = points.size
-    if n == 0:
+    points in arrival order. The points must be dyadic (w <= 64)."""
+    if points.size == 0:
         raise ValueError("empty point set")
     dy = points.dyadic_view()
-    if dy is not None and n < (1 << 26):
-        nums, w = dy
-        dnums = prefix_deviation_numerators(nums, w)
-        den = 1 << w
-        return [Fraction(d, (m + 1) * den) for m, d in enumerate(dnums)]
-    values = points.values
-    return [
-        extreme_discrepancy(PointSet(values[:m])).extreme for m in range(1, n + 1)
-    ]
+    if dy is None:
+        raise ValueError("prefix discrepancies need points over 2^w with w <= 64")
+    nums, w = dy
+    dnums = prefix_deviation_numerators(nums, w)
+    return [Fraction(d, m << w) for m, d in enumerate(dnums, start=1)]
 
 
-def phi_envelope(prefix_ds: Sequence[Union[Fraction, ExactValue]]) -> PhiEnvelope:
-    """Minimal nondecreasing envelope Phi(M) = max_{m<=M} m * D_m."""
-    if not prefix_ds:
-        raise ValueError("empty prefix-discrepancy list")
-    out = []
-    best = Fraction(0)
-    for m, d in enumerate(prefix_ds, start=1):
-        cand = m * _as_fraction(d)
-        if cand > best:
-            best = cand
-        out.append(best)
-    return PhiEnvelope(values=tuple(out))
+def phi_envelope(nums: np.ndarray, w: int) -> list[int]:
+    """Phi(M) * 2^w for every M: the running maximum of the integers
+    2^w * m * D_m over m <= M (see prefix_deviation_numerators)."""
+    if len(nums) == 0:
+        raise ValueError("empty point set")
+    return list(itertools.accumulate(prefix_deviation_numerators(nums, w), max))
 
 
 def parse_points_file(path: str) -> PointSet:

@@ -33,6 +33,8 @@ from .bitcore import BitSequence, ExactValue, Pattern
 
 __all__ = ["NormalityReport", "count_occurrences", "normality_naive", "normality_fast"]
 
+MAX_MEASURE_N = 1 << 30
+
 
 def max_block_length(n: int) -> int:
     """Largest admissible k (floor(log2 n)); 0 when the k-range is empty."""
@@ -113,9 +115,11 @@ def _empty_report(n: int) -> NormalityReport:
     )
 
 
-def _code_dtype(n: int):
-    """Window codes are < 2^floor(log2 n) <= n, so int32 covers n < 2^31."""
-    return np.int32 if n < (1 << 31) else np.int64
+def _check_length(n: int) -> None:
+    """The measure's domain is N <= 2^30: window codes (< N) and occurrence
+    ranks are int32."""
+    if n > MAX_MEASURE_N:
+        raise ValueError(f"sequence length {n} exceeds the measure's limit 2^30")
 
 
 def _extend_codes(codes: np.ndarray, bits: np.ndarray, k: int) -> np.ndarray:
@@ -137,10 +141,11 @@ def normality_naive(seq: BitSequence) -> NormalityReport:
     """Reference evaluator: enumerates every pattern and takes cumulative
     counts over M directly from the definition."""
     n = len(seq)
+    _check_length(n)
     klim = max_block_length(n)
     if klim < 1:
         return _empty_report(n)
-    bits = seq.to_numpy().astype(_code_dtype(n))
+    bits = seq.to_numpy().astype(np.int32)
     best: Optional[tuple[int, int, int, int, int]] = None  # num, k, x, m, t
     per_k: list[tuple[int, ExactValue]] = []
     # Scaled deviations are bounded by n << klim.
@@ -188,22 +193,21 @@ def normality_naive(seq: BitSequence) -> NormalityReport:
 def _occurrence_ranks(codes: np.ndarray) -> np.ndarray:
     """occ[i] = how many windows among the first i+1 equal the window at i.
 
-    int32 throughout when the sizes allow: the radix sort and gathers are
-    memory-bound and the measure's desk scale (N <= 2^30) fits easily.
+    int32 throughout: the radix sort and gathers are memory-bound, and the
+    measure's domain (N <= 2^30) fits.
     """
     m = codes.shape[0]
-    it = np.int32 if m < (1 << 31) - 1 else np.int64
     order = np.argsort(codes, kind="stable")
     sc = codes[order]
     new = np.empty(m, dtype=bool)
     new[0] = True
     np.not_equal(sc[1:], sc[:-1], out=new[1:])
-    starts = np.flatnonzero(new).astype(it)
-    gid = np.cumsum(new, dtype=it)
+    starts = np.flatnonzero(new).astype(np.int32)
+    gid = np.cumsum(new, dtype=np.int32)
     gid -= 1
-    ranks = np.arange(1, m + 1, dtype=it)
+    ranks = np.arange(1, m + 1, dtype=np.int32)
     ranks -= starts[gid]
-    occ = np.empty(m, dtype=it)
+    occ = np.empty(m, dtype=np.int32)
     occ[order] = ranks
     return occ
 
@@ -285,10 +289,11 @@ def _witness_k(codes: np.ndarray, k: int, target: int) -> tuple[int, int, int]:
 def normality_fast(seq: BitSequence) -> NormalityReport:
     """Single-pass-per-k evaluator; contract identical to normality_naive."""
     n = len(seq)
+    _check_length(n)
     klim = max_block_length(n)
     if klim < 1:
         return _empty_report(n)
-    bits = seq.to_numpy().astype(_code_dtype(n))
+    bits = seq.to_numpy().astype(np.int32)
     per_k: list[tuple[int, ExactValue]] = []
     best_num, best_k = -1, 0
     codes = bits.copy()

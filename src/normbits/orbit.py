@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .bitcore import BitSequence, ExactValue, Pattern, decimal_str
-from .discrepancy import PointSet, prefix_deviation_numerators
+from .discrepancy import PointSet, phi_envelope
 from .generators import DigitStream, StreamExhausted
 from .measure import max_block_length, normality_fast
 
@@ -172,11 +172,13 @@ def lemma1_verify(
 
     Phi is the running maximum of j * D_j over the w-bit orbit prefix
     discrepancies; since every j * D_j has denominator 2^w, the envelope
-    is maintained as a running integer maximum. The digit prefix is shared
+    is the running integer maximum phi_envelope. The digit prefix is shared
     by both sides, so the inequality is exact (no epsilon handling).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     _check_window(n, w)
     if checkpoints is None:
         cps = default_checkpoints(n)
@@ -188,13 +190,7 @@ def lemma1_verify(
             raise ValueError(f"checkpoints must lie in [1, {n}]")
     digits = _orbit_digits(stream, n, w)
     nums = _window_numerators(digits.to_numpy(), n, w)
-    dnums = prefix_deviation_numerators(nums, w)
-    env = []
-    best = 0
-    for d in dnums:
-        if d > best:
-            best = d
-        env.append(best)
+    env = phi_envelope(nums, w)
 
     def evaluate(m: int) -> CheckpointResult:
         value = normality_fast(digits.prefix(m)).value

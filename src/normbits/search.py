@@ -234,6 +234,10 @@ def exhaustive_min(
         raise ValueError(f"n={n} outside [1, {MAX_SEARCH_N}]")
     if cap < 1:
         raise ValueError("cap must be >= 1")
+    if split_depth < 1:
+        raise ValueError(f"split_depth must be >= 1, got {split_depth}")
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     klim = max_block_length(n)
     shared = _Incumbent((n << klim) + 1)
     depth = min(split_depth, n)

@@ -1,0 +1,37 @@
+"""Every annotation in the package resolves: the modules use postponed
+evaluation, so a name missing from a module's imports only shows up when
+the hints are read."""
+
+import importlib
+import inspect
+import pkgutil
+import typing
+
+import pytest
+
+import normbits
+
+MODULES = sorted(m.name for m in pkgutil.iter_modules(normbits.__path__))
+
+
+def _functions(module):
+    for obj in vars(module).values():
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(obj):
+            yield obj
+        elif inspect.isclass(obj):
+            for attr in vars(obj).values():
+                attr = attr.fget if isinstance(attr, property) else attr
+                attr = getattr(attr, "__func__", attr)
+                if inspect.isfunction(attr):
+                    yield attr
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_type_hints_resolve(name):
+    module = importlib.import_module(f"normbits.{name}")
+    functions = list(_functions(module))
+    assert functions
+    for func in functions:
+        typing.get_type_hints(func)

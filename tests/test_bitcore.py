@@ -10,11 +10,8 @@ from normbits.bitcore import (
     DyadicInterval,
     ExactValue,
     Pattern,
-    format_bits,
     format_bits_hex,
-    interval_contains,
     parse_bits,
-    pattern_to_interval,
 )
 
 
@@ -54,7 +51,7 @@ class TestParseFormat:
     @given(st.lists(st.integers(0, 1), max_size=200))
     def test_round_trip(self, bits):
         seq = BitSequence(bits)
-        assert parse_bits(format_bits(seq)) == seq
+        assert parse_bits(seq.to01()) == seq
         assert parse_bits(format_bits_hex(seq)) == seq
 
 
@@ -88,35 +85,39 @@ class TestBitSequence:
 
 class TestPatternInterval:
     def test_101_interval(self):
-        iv = pattern_to_interval(Pattern.from01("101"))
+        x = Pattern.from01("101")
+        iv = DyadicInterval(x.k, x.value)
         assert (iv.level, iv.numerator) == (3, 5)
         assert iv.lower == ExactValue(5, 3)
         assert iv.upper == ExactValue(6, 3)
 
     def test_single_zero(self):
-        iv = pattern_to_interval(Pattern.from01("0"))
+        x = Pattern.from01("0")
+        iv = DyadicInterval(x.k, x.value)
         assert (iv.level, iv.numerator) == (1, 0)
 
     def test_all_ones_touches_one(self):
-        iv = pattern_to_interval(Pattern.from01("1111"))
+        x = Pattern.from01("1111")
+        iv = DyadicInterval(x.k, x.value)
         assert (iv.level, iv.numerator) == (4, 15)
         assert iv.upper == ExactValue(1, 0)
 
     def test_contains_truncated_point(self):
-        iv = pattern_to_interval(Pattern.from01("101"))
-        assert interval_contains(iv, ExactValue(85, 7))  # 0.1010101 binary
+        x = Pattern.from01("101")
+        iv = DyadicInterval(x.k, x.value)
+        assert iv.contains(ExactValue(85, 7))  # 0.1010101 binary
 
     def test_half_open_endpoints(self):
         iv = DyadicInterval(1, 0)  # [0, 1/2)
-        assert interval_contains(iv, ExactValue(0))
-        assert not interval_contains(iv, ExactValue(1, 1))
+        assert iv.contains(ExactValue(0))
+        assert not iv.contains(ExactValue(1, 1))
 
     def test_point_domain(self):
         iv = DyadicInterval(1, 0)
         with pytest.raises(ValueError):
-            interval_contains(iv, ExactValue(1))
+            iv.contains(ExactValue(1))
         with pytest.raises(ValueError):
-            interval_contains(iv, ExactValue(-1, 3))
+            iv.contains(ExactValue(-1, 3))
 
     def test_pattern_validation(self):
         with pytest.raises(ValueError):
@@ -132,18 +133,18 @@ class TestPatternInterval:
         rng = random.Random(1)
         for k in range(1, 9):
             for value in range(1 << k):
-                iv = pattern_to_interval(Pattern(k, value))
+                iv = DyadicInterval(k, value)
                 for _ in range(3):
                     w = rng.randint(k, k + 12)
                     num = rng.randrange(1 << w)
                     p = ExactValue(num, w)
-                    assert interval_contains(iv, p) == ((num >> (w - k)) == value)
+                    assert iv.contains(p) == ((num >> (w - k)) == value)
 
     def test_intervals_partition_unit(self):
         # Exactly one level-k interval contains any given point, k <= 10.
         rng = random.Random(2)
         for k in range(1, 11):
-            intervals = [pattern_to_interval(Pattern(k, v)) for v in range(1 << k)]
+            intervals = [DyadicInterval(k, v) for v in range(1 << k)]
             assert len({iv.numerator for iv in intervals}) == 1 << k
             for _ in range(5):
                 p = Fraction(rng.randrange(10**6), 10**6)

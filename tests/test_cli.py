@@ -118,6 +118,27 @@ def test_short_file_stream_names_needed_digits(cap, tmp_path, subcommand):
     assert "10 orbit points of 14 bits need n + w - 1 = 23 digits" in err
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["search-min", "--n", "3", "--split-depth", "-2"], "split_depth must be >= 1"),
+        (["search-min", "--n", "3", "--split-depth", "0"], "split_depth must be >= 1"),
+        (["search-min", "--n", "3", "--threads", "0"], "threads must be >= 1"),
+        (["search-min", "--n", "3", "--threads", "-1"], "threads must be >= 1"),
+        (
+            ["verify-lemma", "--gen", "rational:1/3", "--n", "8", "--w", "16",
+             "--threads", "0"],
+            "threads must be >= 1",
+        ),
+    ],
+)
+def test_bad_split_depth_or_threads_exit_2(cap, argv, message):
+    code, out, err = cap(argv)
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [err.strip()]
+    assert err.startswith(f"error: {message}, got ")
+
+
 class TestVerifyLemma:
     def test_pass_exit_0(self, cap):
         code, out, _ = cap(["verify-lemma", "--gen", "rational:1/3", "--n", "8", "--w", "16"])

@@ -62,6 +62,27 @@ def dyadic_lists(draw):
     return w, draw(st.lists(either, min_size=1, max_size=20))
 
 
+@st.composite
+def mixed_fractions(draw):
+    """Points over mixed denominators: small non-dyadic ones, 2^64, and
+    ones past 2^64, so the common denominator is the lcm, often neither
+    a power of two nor below 2^65. Duplicates and 0 come from a pool."""
+    den = st.sampled_from([3, 5, 6, 7, 12, 97, 2, 1 << 64, 1 << 70, 3 << 65])
+
+    def top(span):
+        """a/d for the `span` largest numerators a < d (all when span > d)."""
+
+        def points(d):
+            return st.integers(max(0, d - span), d - 1).map(lambda a: Fraction(a, d))
+
+        return den.flatmap(points)
+
+    value = st.one_of(st.just(Fraction(0)), top(1 << 80), top(3))
+    pool = draw(st.lists(value, min_size=1, max_size=4))
+    either = st.one_of(st.sampled_from(pool), value)
+    return draw(st.lists(either, min_size=1, max_size=20))
+
+
 _DYADIC_EXAMPLES = [
     (32, [0, (1 << 32) - 1, 0, 1 << 31, 1 << 31, 7]),
     (33, [(1 << 33) - 1, 0, 1 << 32, (1 << 32) - 1, 1 << 32, 0]),
@@ -177,11 +198,24 @@ class TestOracleAgreement:
 class TestPrefixDiscrepancies:
     def test_thirds_orbit_prefixes(self):
         # single point: closing interval forces D_1 = 1; the pair at
-        # {1/3, 2/3} gives D_2 = 2/3 via the closing interval [1/3, 2/3]
+        # {1/3, 2/3} gives D_2 = 2/3 via the closing interval [1/3, 2/3].
+        # The prefix engine takes dyadic points only, so thirds are refused.
         pts = PointSet([Fraction(1, 3), Fraction(2, 3), Fraction(1, 3)])
-        ds = prefix_discrepancies(pts)
-        assert ds[0] == 1
-        assert ds[1] == Fraction(2, 3)
+        assert extreme_discrepancy(pts.prefix(1)).extreme == 1
+        assert extreme_discrepancy(pts.prefix(2)).extreme == Fraction(2, 3)
+        with pytest.raises(ValueError, match="2\\^w with w <= 64"):
+            prefix_discrepancies(pts)
+
+    def test_refuses_points_past_limits(self):
+        wide = PointSet([Fraction(1, 1 << 65), Fraction(1, 2)])
+        with pytest.raises(ValueError, match="2\\^w with w <= 64"):
+            prefix_discrepancies(wide)
+        # lazily zero-filled, so the 2^26 points cost no memory
+        many = PointSet.from_dyadic(np.zeros(1 << 26, dtype=np.uint64), 64)
+        with pytest.raises(ValueError, match="fewer than 2\\^26"):
+            prefix_discrepancies(many)
+        with pytest.raises(ValueError):
+            prefix_discrepancies(PointSet([]))
 
     def test_last_entry_matches_full_set(self):
         rng = random.Random(19)
@@ -260,12 +294,34 @@ class TestPrefixDiscrepancies:
         assert rep.extreme == extreme_discrepancy_reference(pts)
         assert_witness_recounts(pts, rep)
 
+    @settings(max_examples=200, deadline=None)
+    @given(mixed_fractions())
+    @example([Fraction(1, 3), Fraction(2, 3), Fraction(1, 3), Fraction(0)])
+    @example([Fraction(0), Fraction((1 << 70) - 1, 1 << 70), Fraction(1, 3 << 65)])
+    def test_general_path_matches_reference_and_recounts(self, values):
+        pts = PointSet(values)
+        rep = extreme_discrepancy(pts)
+        assert rep.extreme == extreme_discrepancy_reference(pts)
+        assert_witness_recounts(pts, rep)
+
     def test_dyadic_view_from_fractions(self):
         pts = PointSet([Fraction(1, 2), Fraction(3, 8), Fraction(0)])
         nums, w = pts.dyadic_view()
         assert w == 3
         assert nums.tolist() == [4, 3, 0]
         assert PointSet([Fraction(1, 3)]).dyadic_view() is None
+        assert PointSet([Fraction(1, 1 << 65)]).dyadic_view() is None
+        assert PointSet([Fraction(1, 1 << 64)]).dyadic_view()[1] == 64
+
+    def test_one_integer_representation(self):
+        pts = PointSet([Fraction(1, 3), Fraction(1, 4), ExactValue(1, 1), 0])
+        assert (pts.nums.tolist(), pts.den) == ([4, 3, 6, 0], 12)
+        assert pts.values == (Fraction(1, 3), Fraction(1, 4), Fraction(1, 2), 0)
+        head = pts.prefix(2)
+        assert (head.nums.tolist(), head.den, head.size) == ([4, 3], 12, 2)
+        dy = PointSet.from_dyadic([5, 0], 64)
+        assert (dy.nums.dtype, dy.den) == (np.uint64, 1 << 64)
+        assert dy.prefix(1).values == (Fraction(5, 1 << 64),)
 
     def test_duplicates_allowed(self):
         pts = PointSet([Fraction(1, 4)] * 5)
@@ -274,30 +330,22 @@ class TestPrefixDiscrepancies:
 
 class TestPhiEnvelope:
     def test_example(self):
-        env = phi_envelope([Fraction(2, 3), Fraction(2, 3)])
-        assert env.values == (Fraction(2, 3), Fraction(4, 3))
+        # Points 0, 0, 1/8, 3/8 (w = 3). 8*m*D_m: the closed interval onto
+        # the first m points gives 8, 16, 21; at m = 4 the best intervals,
+        # [0, 1/8] and [0, 3/8] closed, give 8*(3 - 1/2) = 20. The envelope
+        # keeps 21.
+        assert prefix_deviation_numerators([0, 0, 1, 3], 3) == [8, 16, 21, 20]
+        assert phi_envelope([0, 0, 1, 3], 3) == [8, 16, 21, 21]
 
     def test_constant_d(self):
-        c = Fraction(1, 5)
-        env = phi_envelope([c] * 6)
-        assert env.values == tuple(m * c for m in range(1, 7))
-
-    def test_invariants(self):
-        rng = random.Random(23)
-        ds = [Fraction(rng.randint(1, 64), 64) for _ in range(40)]
-        env = phi_envelope(ds)
-        for i in range(1, len(env.values)):
-            assert env.values[i] >= env.values[i - 1]
-        for m, d in enumerate(ds, start=1):
-            assert env.values[m - 1] >= m * d
-
-    def test_accepts_exact_values(self):
-        env = phi_envelope([ExactValue(1, 1), ExactValue(1, 2)])
-        assert env.values == (Fraction(1, 2), Fraction(1, 2))
+        # All points at 0: D_m = 1, so Phi(m) = m.
+        assert phi_envelope(np.zeros(6, dtype=np.uint64), 5) == [
+            m << 5 for m in range(1, 7)
+        ]
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            phi_envelope([])
+            phi_envelope([], 8)
 
 
 class TestPointsFile:

@@ -2,12 +2,14 @@
 CSV, must stay byte-identical to the files under tests/golden/.
 
 The corpus covers the window widths on both sides of every limb boundary
-(w = 8, 31, 32, 33, 64), three generators, and four points files: with
+(w = 8, 31, 32, 33, 64), three generators, and five points files: with
 duplicates and the point 0, with numerators near 2^64, a lattice whose
-extremes tie with the boundary t = 0, and a lattice shifted by 2^-64 whose
-ties fall inside the high-limb filter's band. Commands run with
-tests/golden/ as the working directory, so the points paths recorded in
-each payload's config are relative.
+extremes tie with the boundary t = 0, a lattice shifted by 2^-64 whose
+ties fall inside the high-limb filter's band, and points over 2^65, 2^70
+and 2^100 whose extremes tie, which take the Python-int path instead of
+the uint64 kernel. Commands run with tests/golden/ as the working
+directory, so the points paths recorded in each payload's config are
+relative.
 
 Re-record only for an intended, documented payload change:
 
@@ -42,6 +44,7 @@ def _cases() -> list[tuple[str, list[str]]]:
             "points_wide.txt",
             "points_lattice.txt",
             "points_shifted_lattice.txt",
+            "points_beyond64.txt",
         ):
             argv = ["discrepancy", "--points", points, "--format", fmt]
             cases.append((f"discrepancy_{Path(points).stem}.{fmt}", argv))

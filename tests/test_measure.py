@@ -175,3 +175,11 @@ class TestReportSerialization:
         assert d["value_num"] == 0
         assert d["k"] is None and d["pattern"] is None
         assert d["per_k"] == []
+
+
+@pytest.mark.parametrize("evaluate", [normality_fast, normality_naive])
+def test_domain_limit(evaluate):
+    # calloc-backed zeros: the check must come before the digits unpack
+    seq = BitSequence._from_packed(bytes((1 << 27) + 1), (1 << 30) + 1)
+    with pytest.raises(ValueError, match="exceeds the measure's limit 2\\^30"):
+        evaluate(seq)

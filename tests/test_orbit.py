@@ -1,14 +1,14 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
-from normbits.bitcore import ExactValue, Pattern
+from normbits.bitcore import BitSequence, ExactValue, Pattern
 from normbits.discrepancy import (
-    PointSet,
     extreme_discrepancy_reference,
-    phi_envelope,
+    prefix_deviation_numerators,
 )
-from normbits.generators import GeneratorSpec
+from normbits.generators import DigitStream, GeneratorSpec
 from normbits.measure import count_occurrences, normality_naive
 from normbits.orbit import (
     count_via_orbit,
@@ -96,7 +96,7 @@ class TestLemma1Verify:
         ref_ds = [
             extreme_discrepancy_reference(pts.prefix(m)) for m in range(1, 9)
         ]
-        expected_phi = phi_envelope(ref_ds).values[-1]
+        expected_phi = max(m * d for m, d in enumerate(ref_ds, start=1))
         assert cp.phi == expected_phi
         assert cp.phi == Fraction(43691, 8192)
         assert cp.margin == cp.phi - Fraction(19, 8)
@@ -144,3 +144,39 @@ class TestLemma1Verify:
         cp = d["checkpoints"][-1]
         assert set(cp) == {"n", "normality", "phi", "margin", "pass"}
         assert cp["normality"]["num"] == 19
+
+
+STRUCTURED = [
+    stream("champernowne"),
+    stream("rational:1/3"),
+    stream("rational:0/1"),
+    DigitStream("ones", lambda n: BitSequence([1] * n)),
+]
+
+
+@pytest.mark.parametrize("w", [8, 33, 64])
+@pytest.mark.parametrize("s", STRUCTURED, ids=lambda s: s.label)
+class TestStructuredStreams:
+    """Periodic, constant and Champernowne orbits against the pair
+    enumeration oracle, on every prefix of N = 64 points."""
+
+    N = 64
+
+    def reference(self, s, w) -> list[Fraction]:
+        pts = orbit_points(s, self.N, w)
+        return [extreme_discrepancy_reference(pts.prefix(m)) for m in range(1, self.N + 1)]
+
+    def test_prefix_engine_matches_reference(self, s, w):
+        nums, _ = orbit_points(s, self.N, w).dyadic_view()
+        dnums = prefix_deviation_numerators(nums, w)
+        for m, d in enumerate(self.reference(s, w), start=1):
+            assert Fraction(dnums[m - 1], m << w) == d, m
+
+    def test_envelope_matches_reference(self, s, w):
+        rep = lemma1_verify(s, self.N, w, checkpoints=range(1, self.N + 1))
+        phis = [c.phi for c in rep.checkpoints]
+        assert [c.n for c in rep.checkpoints] == list(range(1, self.N + 1))
+        assert phis == sorted(phis)
+        scaled = (m * d for m, d in enumerate(self.reference(s, w), start=1))
+        assert phis == list(itertools.accumulate(scaled, max))
+        assert rep.overall_pass
