@@ -28,6 +28,8 @@ __all__ = [
     "parse_bits",
     "format_bits_hex",
     "decimal_str",
+    "frac_dict",
+    "read_ascii",
 ]
 
 
@@ -39,6 +41,25 @@ def decimal_str(num: int, den: int, sig: int = 17) -> str:
         ctx.prec = sig
         # Decimal(int) conversion is exact; only the division rounds.
         return str(Decimal(num) / Decimal(den))
+
+
+def frac_dict(f: Fraction) -> dict:
+    """JSON form of an exact rational: numerator, denominator and decimal."""
+    return {
+        "num": f.numerator,
+        "den": f.denominator,
+        "decimal": decimal_str(f.numerator, f.denominator),
+    }
+
+
+def read_ascii(path: str) -> str:
+    """Text of an ASCII file; a non-ASCII byte is a ValueError naming the path."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        byte = exc.object[exc.start]
+        raise ValueError(f"{path}: non-ASCII byte 0x{byte:02x}") from None
 
 
 class ExactValue:
@@ -307,9 +328,6 @@ class Pattern:
             raise ValueError(f"invalid pattern string {text!r}")
         return cls(len(text), int(text, 2))
 
-    def bits(self) -> tuple[int, ...]:
-        return tuple((self.value >> (self.k - 1 - j)) & 1 for j in range(self.k))
-
     def __str__(self):
         return format(self.value, f"0{self.k}b")
 
@@ -336,9 +354,6 @@ class DyadicInterval:
     @property
     def upper(self) -> ExactValue:
         return ExactValue(self.numerator + 1, self.level)
-
-    def length(self) -> ExactValue:
-        return ExactValue(1, self.level)
 
     def contains(self, p: Union[ExactValue, Fraction]) -> bool:
         """Exact membership test for p in [0, 1)."""

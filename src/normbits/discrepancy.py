@@ -48,7 +48,7 @@ from typing import Iterable, Optional, Union
 
 import numpy as np
 
-from .bitcore import ExactValue, decimal_str
+from .bitcore import ExactValue, decimal_str, frac_dict, read_ascii
 
 __all__ = [
     "PointSet",
@@ -146,13 +146,6 @@ class DiscrepancyReport:
     witness_b_side: str
 
     def to_json_dict(self) -> dict:
-        def frac_dict(f: Fraction) -> dict:
-            return {
-                "num": f.numerator,
-                "den": f.denominator,
-                "decimal": decimal_str(f.numerator, f.denominator),
-            }
-
         return {
             "n": self.n,
             "extreme_num": self.extreme.numerator,
@@ -353,22 +346,22 @@ def parse_points_file(path: str) -> PointSet:
     Blank lines and lines starting with '#' are skipped.
     """
     values = []
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            num_s, sep, den_s = text.partition("/2^")
-            if not sep:
-                raise ValueError(f"{path}:{lineno}: expected num/2^w, got {text!r}")
-            try:
-                num = int(num_s)
-                w = int(den_s)
-            except ValueError:
-                raise ValueError(
-                    f"{path}:{lineno}: expected num/2^w, got {text!r}"
-                ) from None
-            if w < 0 or num < 0 or num >= (1 << w):
-                raise ValueError(f"{path}:{lineno}: {text!r} is not in [0, 1)")
-            values.append(Fraction(num, 1 << w))
+    # Text mode has already turned "\r\n" and "\r" into "\n".
+    for lineno, line in enumerate(read_ascii(path).split("\n"), start=1):
+        text = line.strip()
+        if not text or text.startswith("#"):
+            continue
+        num_s, sep, den_s = text.partition("/2^")
+        if not sep:
+            raise ValueError(f"{path}:{lineno}: expected num/2^w, got {text!r}")
+        try:
+            num = int(num_s)
+            w = int(den_s)
+        except ValueError:
+            raise ValueError(
+                f"{path}:{lineno}: expected num/2^w, got {text!r}"
+            ) from None
+        if w < 0 or num < 0 or num >= (1 << w):
+            raise ValueError(f"{path}:{lineno}: {text!r} is not in [0, 1)")
+        values.append(Fraction(num, 1 << w))
     return PointSet(values)

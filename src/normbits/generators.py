@@ -23,7 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .bitcore import BitSequence, parse_bits
+from .bitcore import BitSequence, parse_bits, read_ascii
 
 __all__ = [
     "RANDOM_ALGORITHM",
@@ -114,8 +114,7 @@ def file_bits(path: str, n: Optional[int] = None) -> BitSequence:
     The text, with all whitespace removed, is read by parse_bits: {0,1}
     digits or one "hex:<digits>/<length>" form.
     """
-    with open(path, "r", encoding="ascii") as fh:
-        text = "".join(fh.read().split())
+    text = "".join(read_ascii(path).split())
     try:
         seq = parse_bits(text)
     except ValueError as exc:

@@ -15,7 +15,9 @@ provided:
   piecewise linear between the steps where the rarest pattern catches up
   (so it is maximized at the step just before each catch-up, recoverable
   from the last position holding each occurrence rank). This turns the
-  per-k scan into a handful of vectorized passes.
+  per-k scan into a handful of vectorized passes. When a k takes the lead,
+  the same pass reads the witness off the arrays it holds, so no k is
+  ranked twice.
 
 All deviations are carried as integers 2^k*T - M over the denominator 2^k;
 cross-k comparisons shift to a common denominator. No floats are involved
@@ -104,15 +106,7 @@ def count_occurrences(seq: BitSequence, m: int, pattern: Pattern) -> int:
 
 
 def _empty_report(n: int) -> NormalityReport:
-    return NormalityReport(
-        n=n,
-        value=ExactValue(0),
-        witness_k=None,
-        witness_pattern=None,
-        witness_m=None,
-        witness_t=None,
-        per_k_max=(),
-    )
+    return NormalityReport(n, ExactValue(0), None, None, None, None, ())
 
 
 def _check_length(n: int) -> None:
@@ -212,78 +206,62 @@ def _occurrence_ranks(codes: np.ndarray) -> np.ndarray:
     return occ
 
 
-def _last_position_by_rank(occ: np.ndarray) -> np.ndarray:
-    """lp[v-1] = last 1-based step whose window reaches occurrence rank v.
-
-    Rank values present are exactly 1..max(occ) (every higher rank passes
-    through each lower one). Fancy assignment with duplicate indices keeps
-    the last write, i.e. the largest step, per rank.
+def _min_side_profile(occ: np.ndarray, k: int) -> np.ndarray:
+    """ends[v] = last step at which the minimum pattern count is v, for v up
+    to the final minimum count (whose end is the last step m). The minimum
+    reaches v+1 once all 2^k patterns have occurred v+1 times, so ends[v]
+    is one step before the last window of occurrence rank v+1 arrives.
     """
     m = occ.shape[0]
-    maxocc = int(occ.max())
-    lp = np.zeros(maxocc + 1, dtype=np.int64)
-    lp[occ] = np.arange(1, m + 1, dtype=np.int64)
-    return lp[1:]
-
-
-def _min_side_profile(occ: np.ndarray, k: int) -> tuple[int, np.ndarray]:
-    """Steps at which the minimum pattern count is about to increase.
-
-    Returns (levels, ends) where for each min-count level v in 0..levels the
-    last step holding that level is ends[v]. The min count reaches v+1 only
-    once every one of the 2^k patterns has occurred v+1 times.
-    """
-    m = occ.shape[0]
-    full = 1 << k
-    if full > m:
-        return 0, np.array([m], dtype=np.int64)
     counts = np.bincount(occ)  # counts[v] = #patterns occurring >= v times
-    reach = counts[1:] == full
-    stop = np.flatnonzero(~reach)
-    levels = int(stop[0]) if stop.size else int(reach.size)
+    stop = np.flatnonzero(counts[1:] != 1 << k)
+    levels = int(stop[0]) if stop.size else counts.size - 1
     ends = np.empty(levels + 1, dtype=np.int64)
     if levels:
-        lp = _last_position_by_rank(occ)
-        ends[:levels] = lp[:levels] - 1  # step before the min count moves up
+        # Fancy assignment with duplicate indices keeps the last write, i.e.
+        # the largest step, per rank.
+        last = np.zeros(counts.size, dtype=np.int64)
+        last[occ] = np.arange(1, m + 1, dtype=np.int64)
+        ends[:levels] = last[1 : levels + 1] - 1
     ends[levels] = m
-    return levels, ends
+    return ends
 
 
-def _scan_k(codes: np.ndarray, k: int) -> int:
-    """Maximum scaled deviation max_{X,M} |2^k*T(M,X) - M| for this k."""
+def _scan_k(
+    codes: np.ndarray, k: int, best: Optional[tuple[int, ...]]
+) -> tuple[int, Optional[tuple[int, int, int]]]:
+    """This k's maximum scaled deviation max_{X,M} |2^k*T(M,X) - M| and, if
+    it beats `best` = (num, k, ...), the smallest (pattern, M, T) attaining it.
+
+    The high side peaks where a window arrives (step i+1), the low side at
+    ends[v]. Below the final level only the pattern arriving next,
+    codes[ends[v]], has count v there; at the final level, all with count v.
+    """
     m = codes.shape[0]
     occ = _occurrence_ranks(codes)
     dev = occ.astype(np.int64)
     dev <<= k
     dev -= np.arange(1, m + 1, dtype=np.int64)
-    high = int(dev.max())
-    levels, ends = _min_side_profile(occ, k)
-    low = int((ends - (np.arange(levels + 1, dtype=np.int64) << k)).max())
-    return max(high, low)
-
-
-def _witness_k(codes: np.ndarray, k: int, target: int) -> tuple[int, int, int]:
-    """Smallest (pattern value, M) attaining the scaled deviation `target`."""
-    m = codes.shape[0]
-    occ = _occurrence_ranks(codes)
-    pos = np.arange(1, m + 1, dtype=np.int64)
+    ends = _min_side_profile(occ, k)
+    levels = ends.size - 1
+    low = ends - (np.arange(levels + 1, dtype=np.int64) << k)
+    num = max(int(dev.max()), int(low.max()))
+    if best is not None and not _better(num, k, best[0], best[1]):
+        return num, None
     cands: list[tuple[int, int, int]] = []
-    hits = np.flatnonzero(((occ.astype(np.int64) << k) - pos) == target)
+    hits = np.flatnonzero(dev == num)
     if hits.size:
-        j = int(np.lexsort((hits, codes[hits]))[0])
-        i = int(hits[j])
+        i = int(hits[np.argmin(codes[hits])])  # first of the smallest pattern
         cands.append((int(codes[i]), i + 1, int(occ[i])))
-    levels, ends = _min_side_profile(occ, k)
-    low_hits = np.flatnonzero(
-        (ends - (np.arange(levels + 1, dtype=np.int64) << k)) == target
-    )
-    for v in low_hits:
-        v = int(v)
-        step = int(ends[v])
-        counts = np.bincount(codes[:step], minlength=1 << k)
-        x = int(np.flatnonzero(counts == v)[0])
-        cands.append((x, step, v))
-    return min(cands)
+    lows = np.flatnonzero(low[:levels] == num)
+    if lows.size:
+        j = int(np.argmin(codes[ends[lows]]))
+        step = int(ends[lows[j]])
+        cands.append((int(codes[step]), step, int(lows[j])))
+    if low[levels] == num:
+        final = np.bincount(codes, minlength=1 << k)
+        cands.append((int(np.flatnonzero(final == levels)[0]), m, levels))
+    return num, min(cands)
 
 
 def normality_fast(seq: BitSequence) -> NormalityReport:
@@ -295,24 +273,21 @@ def normality_fast(seq: BitSequence) -> NormalityReport:
         return _empty_report(n)
     bits = seq.to_numpy().astype(np.int32)
     per_k: list[tuple[int, ExactValue]] = []
-    best_num, best_k = -1, 0
-    codes = bits.copy()
+    best: Optional[tuple[int, int, int, int, int]] = None  # num, k, x, m, t
+    codes = bits
     for k in range(1, klim + 1):
         if k > 1:
             codes = _extend_codes(codes, bits, k)
-        num = _scan_k(codes, k)
+        num, found = _scan_k(codes, k, best)
         per_k.append((k, ExactValue(num, k)))
-        if best_num < 0 or _better(num, k, best_num, best_k):
-            best_num, best_k = num, k
-    codes = bits.copy()
-    for k in range(2, best_k + 1):
-        codes = _extend_codes(codes, bits, k)
-    x, m, t = _witness_k(codes, best_k, best_num)
+        if found is not None:
+            best = (num, k, *found)
+    num, k, x, m, t = best
     return NormalityReport(
         n=n,
-        value=ExactValue(best_num, best_k),
-        witness_k=best_k,
-        witness_pattern=Pattern(best_k, x),
+        value=ExactValue(num, k),
+        witness_k=k,
+        witness_pattern=Pattern(k, x),
         witness_m=m,
         witness_t=t,
         per_k_max=tuple(per_k),

@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .bitcore import BitSequence, ExactValue, Pattern, decimal_str
+from .bitcore import BitSequence, ExactValue, Pattern, frac_dict
 from .discrepancy import PointSet, phi_envelope
 from .generators import DigitStream, StreamExhausted
 from .measure import max_block_length, normality_fast
@@ -121,13 +121,6 @@ class VerificationReport:
     overall_pass: bool
 
     def to_json_dict(self) -> dict:
-        def frac_dict(f: Fraction) -> dict:
-            return {
-                "num": f.numerator,
-                "den": f.denominator,
-                "decimal": decimal_str(f.numerator, f.denominator),
-            }
-
         return {
             "stream": self.stream_label,
             "window_bits": self.window_bits,

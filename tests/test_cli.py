@@ -119,6 +119,23 @@ def test_short_file_stream_names_needed_digits(cap, tmp_path, subcommand):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["measure", "--input", "{path}"],
+        ["measure", "--gen", "file:{path}", "--n", "4"],
+        ["discrepancy", "--points", "{path}"],
+    ],
+    ids=["input", "gen-file", "points"],
+)
+def test_non_ascii_file_names_path(cap, tmp_path, argv):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"\xff0110\n")
+    code, out, err = cap([a.format(path=path) for a in argv])
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [f"error: {path}: non-ASCII byte 0xff"]
+
+
+@pytest.mark.parametrize(
     "argv,message",
     [
         (["search-min", "--n", "3", "--split-depth", "-2"], "split_depth must be >= 1"),

@@ -1,15 +1,22 @@
-"""Golden CLI corpus: `discrepancy` and `verify-lemma` payloads, JSON and
-CSV, must stay byte-identical to the files under tests/golden/.
+"""Golden CLI corpus: the payloads of every subcommand, JSON and CSV where
+the subcommand has both, must stay byte-identical to the files under
+tests/golden/.
 
-The corpus covers the window widths on both sides of every limb boundary
-(w = 8, 31, 32, 33, 64), three generators, and five points files: with
-duplicates and the point 0, with numerators near 2^64, a lattice whose
-extremes tie with the boundary t = 0, a lattice shifted by 2^-64 whose
-ties fall inside the high-limb filter's band, and points over 2^65, 2^70
-and 2^100 whose extremes tie, which take the Python-int path instead of
-the uint64 kernel. Commands run with tests/golden/ as the working
-directory, so the points paths recorded in each payload's config are
-relative.
+`measure` runs both evaluators on Champernowne, random:1, 1/3 and all
+zeros at N = 1000 and N = 4096 (where 2^12 patterns exceed the 4085
+windows of length 12). `search-min`, `scan` and `generate` have one
+configuration each (four generators for `generate`).
+
+For `discrepancy` and `verify-lemma`, the corpus covers the window widths
+on both sides of every limb boundary (w = 8, 31, 32, 33, 64), three
+generators, and five points files: with duplicates and the point 0, with
+numerators near 2^64, a lattice whose extremes tie with the boundary
+t = 0, a lattice shifted by 2^-64 whose ties fall inside the high-limb
+filter's band, and points over 2^65, 2^70 and 2^100 whose extremes tie,
+which take the Python-int path instead of the uint64 kernel.
+
+Commands run with tests/golden/ as the working directory, so the points
+paths recorded in each payload's config are relative.
 
 Re-record only for an intended, documented payload change:
 
@@ -27,18 +34,23 @@ import pytest
 from normbits.cli import run
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+MEASURE_GENS = ("champernowne", "random:1", "rational:1/3", "rational:0/1")
+
+
+def _tag(gen: str) -> str:
+    return gen.replace(":", "").replace("/", "_")
 
 
 def _cases() -> list[tuple[str, list[str]]]:
     cases = []
     for fmt in ("json", "csv"):
         for gen in ("champernowne", "random:1", "rational:1/3"):
-            tag = gen.replace(":", "").replace("/", "_")
             for w in (8, 31, 32, 33, 64):
                 n = 200 if w == 8 else 512
                 for sub in ("discrepancy", "verify-lemma"):
                     argv = [sub, "--gen", gen, "--n", str(n), "--w", str(w)]
-                    cases.append((f"{sub}_{tag}_w{w}.{fmt}", argv + ["--format", fmt]))
+                    argv += ["--format", fmt]
+                    cases.append((f"{sub}_{_tag(gen)}_w{w}.{fmt}", argv))
         for points in (
             "points_narrow.txt",
             "points_wide.txt",
@@ -48,6 +60,19 @@ def _cases() -> list[tuple[str, list[str]]]:
         ):
             argv = ["discrepancy", "--points", points, "--format", fmt]
             cases.append((f"discrepancy_{Path(points).stem}.{fmt}", argv))
+        for gen in MEASURE_GENS:
+            for n in (1000, 4096):
+                for alg in ("fast", "naive"):
+                    argv = ["measure", "--gen", gen, "--n", str(n), "--format", fmt]
+                    argv += ["--algorithm", alg]
+                    cases.append((f"measure_{_tag(gen)}_n{n}_{alg}.{fmt}", argv))
+        argv = ["search-min", "--n", "2..12", "--format", fmt]
+        cases.append((f"search-min_2-12.{fmt}", argv))
+        argv = ["scan", "--n", "256", "--samples", "20", "--seed", "1", "--format", fmt]
+        cases.append((f"scan_n256_s20_seed1.{fmt}", argv))
+    for gen in MEASURE_GENS:
+        argv = ["generate", "--gen", gen, "--n", "4096"]
+        cases.append((f"generate_{_tag(gen)}.txt", argv))
     return cases
 
 
