@@ -22,7 +22,7 @@ from .discrepancy import extreme_discrepancy, parse_points_file
 from .generators import GeneratorSpec, file_bits
 from .measure import normality_fast, normality_naive
 from .orbit import lemma1_verify, orbit_points
-from .search import QUANTILE_KEYS, exhaustive_min, typical_scan
+from .search import QUANTILE_KEYS, check_search_n, exhaustive_min, typical_scan
 
 __all__ = ["run", "main"]
 
@@ -60,15 +60,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--w", type=int, default=64)
     p.add_argument("--checkpoints", help="comma-separated list (default powers of 2)")
-    p.add_argument("--threads", type=int, default=1)
     add_common(p)
 
     p = sub.add_parser("search-min", help="exact minimum over all sequences")
     p.add_argument("--n", required=True, help="length N, or a range A..B")
     p.add_argument("--cap", type=int, default=16, help="max witnesses kept")
     p.add_argument("--no-prune", action="store_true")
-    p.add_argument("--split-depth", type=int, default=8)
-    p.add_argument("--threads", type=int, default=1)
     add_common(p)
 
     p = sub.add_parser("scan", help="Monte Carlo quantiles of measure/sqrt(N)")
@@ -207,7 +204,6 @@ def _cmd_verify(args) -> int:
         "n": args.n,
         "w": args.w,
         "checkpoints": checkpoints,
-        "threads": args.threads,
         "format": args.format,
         "output": args.output,
     }
@@ -216,7 +212,6 @@ def _cmd_verify(args) -> int:
         args.n,
         args.w,
         checkpoints=checkpoints,
-        threads=args.threads,
     )
     if args.format == "json":
         _emit(_json_payload(config, {"report": report.to_json_dict()}), args.output)
@@ -249,13 +244,18 @@ def _cmd_verify(args) -> int:
 
 
 def _parse_n_range(text: str) -> list[int]:
-    if ".." in text:
-        lo_s, _, hi_s = text.partition("..")
-        lo, hi = int(lo_s), int(hi_s)
-        if lo > hi:
-            raise ValueError(f"empty range {text!r}")
-        return list(range(lo, hi + 1))
-    return [int(text)]
+    """Parse `--n N` or `--n A..B`, checking every length before any search."""
+    lo_s, dots, hi_s = text.partition("..")
+    try:
+        lo = int(lo_s)
+        hi = int(hi_s) if dots else lo
+    except ValueError:
+        raise ValueError(f"--n must be N or A..B, got {text!r}") from None
+    if lo > hi:
+        raise ValueError(f"empty range {text!r}")
+    check_search_n(lo)
+    check_search_n(hi)
+    return list(range(lo, hi + 1))
 
 
 def _cmd_search(args) -> int:
@@ -265,21 +265,10 @@ def _cmd_search(args) -> int:
         "n": args.n,
         "cap": args.cap,
         "prune": not args.no_prune,
-        "split_depth": args.split_depth,
-        "threads": args.threads,
         "format": args.format,
         "output": args.output,
     }
-    results = [
-        exhaustive_min(
-            n,
-            cap=args.cap,
-            prune=not args.no_prune,
-            split_depth=args.split_depth,
-            threads=args.threads,
-        )
-        for n in ns
-    ]
+    results = [exhaustive_min(n, cap=args.cap, prune=not args.no_prune) for n in ns]
     if args.format == "json":
         body = {"reports": [r.to_json_dict() for r in results]}
         _emit(_json_payload(config, body), args.output)

@@ -20,7 +20,6 @@ implementation bug, never a mathematical event.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -159,7 +158,6 @@ def lemma1_verify(
     n: int,
     w: int = 64,
     checkpoints: Optional[Sequence[int]] = None,
-    threads: int = 1,
 ) -> VerificationReport:
     """Check normality(Z_m) <= Phi(m) at every checkpoint m.
 
@@ -170,8 +168,6 @@ def lemma1_verify(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
     _check_window(n, w)
     if checkpoints is None:
         cps = default_checkpoints(n)
@@ -193,11 +189,7 @@ def lemma1_verify(
             n=m, normality=value, phi=phi, margin=margin, passed=margin >= 0
         )
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = tuple(pool.map(evaluate, cps))
-    else:
-        results = tuple(evaluate(m) for m in cps)
+    results = tuple(evaluate(m) for m in cps)
     return VerificationReport(
         stream_label=stream.label,
         window_bits=w,

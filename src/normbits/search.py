@@ -6,12 +6,17 @@ admissible block length k the per-pattern occurrence counts, a
 count-of-counts histogram giving the minimum count in O(1) amortized, and
 the running maximum deviation over the windows settled so far. Deviation
 terms already fixed by a prefix lower-bound the measure of every extension
-(k is always taken from the *target* length's range), so a branch is cut
-once its bound strictly exceeds the incumbent; the strict cut keeps every
-minimum-attaining leaf reachable, which makes the reported witness list
-complete in lexicographic order up to the cap. With pruning enabled only
-sequences starting with 0 are enumerated, since complementing every bit
-permutes the patterns of each length and leaves all deviations unchanged.
+(k is always taken from the *target* length's range), and the bound only
+grows along a path. A walk cuts a branch once its bound strictly exceeds
+the walk's limit, and records the smallest bound it cut. The first walk
+has limit 0; while a walk reaches no leaf, the next one takes the smallest
+cut bound as its limit. Every leaf lies below some cut of the previous
+walk, so the limit never passes the minimum, and the strict cut keeps
+every minimum-attaining leaf reachable: the first walk that reaches a leaf
+reaches all minimizers, in lexicographic order, which makes the reported
+witness list complete up to the cap. With pruning enabled only sequences
+starting with 0 are enumerated, since complementing every bit permutes the
+patterns of each length and leaves all deviations unchanged.
 
 At a leaf every deviation term is settled, so the bound *is* the exact
 measure; no separate evaluation pass is needed.
@@ -20,10 +25,7 @@ measure; no separate evaluation pass is needed.
 from __future__ import annotations
 
 import math
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -33,7 +35,7 @@ from .measure import max_block_length, normality_fast
 
 __all__ = ["SearchResult", "ScanStats", "exhaustive_min", "typical_scan"]
 
-MAX_SEARCH_N = 30
+MAX_SEARCH_N = 51
 
 QUANTILE_KEYS = ("min", "p05", "p25", "median", "p75", "p95", "max")
 _QUANTILE_LEVELS = (0.0, 0.05, 0.25, 0.5, 0.75, 0.95, 1.0)
@@ -119,34 +121,22 @@ class _KState:
         self.maxdev = maxdev
 
 
-class _Incumbent:
-    """Monotone-lowering bound shared across subtree tasks."""
-
-    def __init__(self, ceiling: int):
-        self.value = ceiling
-        self._lock = threading.Lock()
-
-    def lower(self, value: int) -> None:
-        with self._lock:
-            if value < self.value:
-                self.value = value
-
-
 class _Task:
-    """DFS over one subtree; exact arithmetic on the 2^klim denominator."""
+    """One depth-first walk that cuts every branch whose bound exceeds
+    `limit`; exact arithmetic on the 2^klim denominator."""
 
-    def __init__(self, n: int, klim: int, cap: int, prune: bool, shared: _Incumbent):
+    def __init__(self, n: int, klim: int, cap: int, limit: int):
         self.n = n
         self.klim = klim
         self.cap = cap
-        self.prune = prune
-        self.shared = shared
+        self.limit = limit
         self.kstates = [_KState(k, n) for k in range(1, klim + 1)]
         self.acc = 0
-        self.local_min = (n << klim) + 1
+        self.best = (n << klim) + 1
         self.witnesses: list[int] = []
+        self.min_cut = (n << klim) + 1
         self.nodes = 0
-        self.pruned_count = 0
+        self.pruned = 0
 
     def _push(self, bit: int, new_len: int) -> list:
         self.acc = (self.acc << 1) | bit
@@ -175,104 +165,68 @@ class _Task:
         return best
 
     def _leaf(self, value: int) -> None:
-        if value < self.local_min:
-            self.local_min = value
+        if value < self.best:
+            self.best = value
             self.witnesses = [self.acc]
-            self.shared.lower(value)
-        elif value == self.local_min and len(self.witnesses) < self.cap:
+        elif value == self.best and len(self.witnesses) < self.cap:
             self.witnesses.append(self.acc)
 
-    def descend(self, length: int) -> None:
-        for bit in (0, 1):
+    def descend(self, length: int, bits: tuple[int, ...] = (0, 1)) -> None:
+        for bit in bits:
             tokens = self._push(bit, length + 1)
             bound = self._bound()
-            cut = self.prune and bound > min(self.local_min, self.shared.value)
-            if cut:
-                self.pruned_count += 1
+            if bound > self.limit:
+                self.pruned += 1
+                self.min_cut = min(self.min_cut, bound)
             elif length + 1 == self.n:
                 self._leaf(bound)
             else:
                 self.descend(length + 1)
             self._pop(tokens)
 
-    def run_prefix(self, prefix: int, depth: int) -> None:
-        """Replay a fixed prefix (MSB-first) and search its subtree."""
-        stack = []
-        for i in range(depth):
-            bit = (prefix >> (depth - 1 - i)) & 1
-            tokens = self._push(bit, i + 1)
-            stack.append(tokens)
-            if self.prune and self._bound() > min(self.local_min, self.shared.value):
-                self.pruned_count += 1
-                while stack:
-                    self._pop(stack.pop())
-                return
-        if depth == self.n:
-            self._leaf(self._bound())
-        else:
-            self.descend(depth)
-        while stack:
-            self._pop(stack.pop())
+
+def check_search_n(n: int) -> None:
+    if not 1 <= n <= MAX_SEARCH_N:
+        raise ValueError(f"n={n} outside [1, {MAX_SEARCH_N}]")
 
 
-def exhaustive_min(
-    n: int,
-    cap: int = 16,
-    prune: bool = True,
-    split_depth: int = 8,
-    threads: int = 1,
-) -> SearchResult:
+def exhaustive_min(n: int, cap: int = 16, prune: bool = True) -> SearchResult:
     """Exact minimum of the normality measure over {0,1}^n.
 
     With pruning on, only the e_1 = 0 half is enumerated (complementation
-    preserves the measure) and bounded branches are cut; the minimum is
-    identical either way. Witnesses are the lexicographically smallest
-    minimizers found, at most `cap`, all starting with 0 under pruning
-    (each one's complement attains the same value and is not listed).
+    preserves the measure) by walks with a rising limit: the first cuts
+    every bound above 0, and while a walk reaches no leaf the next takes
+    the smallest bound it cut as its limit. The limit never passes the
+    minimum, so the first walk with a leaf finds exactly the minimizers,
+    in lexicographic order. Without pruning, one walk with no limit
+    covers both halves. Witnesses are the lexicographically smallest
+    minimizers, at most `cap`, all starting with 0 under pruning (each
+    one's complement attains the same value and is not listed).
+    `nodes_visited` and `pruned` are summed over all walks.
     """
-    if not 1 <= n <= MAX_SEARCH_N:
-        raise ValueError(f"n={n} outside [1, {MAX_SEARCH_N}]")
+    check_search_n(n)
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    if split_depth < 1:
-        raise ValueError(f"split_depth must be >= 1, got {split_depth}")
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
     klim = max_block_length(n)
-    shared = _Incumbent((n << klim) + 1)
-    depth = min(split_depth, n)
-    first_bits = (0,) if prune else (0, 1)
-    prefixes = [
-        (top << (depth - 1)) | rest
-        for top in first_bits
-        for rest in range(1 << (depth - 1))
-    ]
-
-    def run_one(prefix: int) -> _Task:
-        task = _Task(n, klim, cap, prune, shared)
-        task.run_prefix(prefix, depth)
-        return task
-
-    if threads > 1 and len(prefixes) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            tasks = list(pool.map(run_one, prefixes))
-    else:
-        tasks = [run_one(p) for p in prefixes]
-
-    best = min(task.local_min for task in tasks)
-    witnesses: list[int] = []
-    for task in tasks:  # task order is lexicographic in the prefix
-        if task.local_min == best:
-            witnesses.extend(task.witnesses)
-    witnesses = sorted(witnesses)[:cap]
+    # the measure never exceeds n, so n << klim cuts nothing
+    limit = 0 if prune else n << klim
+    nodes = pruned = 0
+    while True:
+        task = _Task(n, klim, cap, limit)
+        task.descend(0, (0,) if prune else (0, 1))
+        nodes += task.nodes
+        pruned += task.pruned
+        if task.witnesses:
+            break
+        limit = task.min_cut
     return SearchResult(
         n=n,
-        min_value=ExactValue(best, klim),
+        min_value=ExactValue(task.best, klim),
         witnesses=tuple(
-            BitSequence.from01(format(w, f"0{n}b")) for w in witnesses
+            BitSequence.from01(format(w, f"0{n}b")) for w in task.witnesses
         ),
-        nodes_visited=sum(t.nodes for t in tasks),
-        pruned=sum(t.pruned_count for t in tasks),
+        nodes_visited=nodes,
+        pruned=pruned,
     )
 
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from normbits import cli
 from normbits.cli import run
 
 
@@ -136,24 +137,49 @@ def test_non_ascii_file_names_path(cap, tmp_path, argv):
 
 
 @pytest.mark.parametrize(
-    "argv,message",
+    "argv",
     [
-        (["search-min", "--n", "3", "--split-depth", "-2"], "split_depth must be >= 1"),
-        (["search-min", "--n", "3", "--split-depth", "0"], "split_depth must be >= 1"),
-        (["search-min", "--n", "3", "--threads", "0"], "threads must be >= 1"),
-        (["search-min", "--n", "3", "--threads", "-1"], "threads must be >= 1"),
-        (
-            ["verify-lemma", "--gen", "rational:1/3", "--n", "8", "--w", "16",
-             "--threads", "0"],
-            "threads must be >= 1",
-        ),
+        ["search-min", "--n", "3", "--threads", "2"],
+        ["search-min", "--n", "3", "--threads", "0"],
+        ["search-min", "--n", "3", "--threads", "-1"],
+        ["search-min", "--n", "3", "--split-depth", "3"],
+        ["search-min", "--n", "3", "--split-depth", "0"],
+        ["search-min", "--n", "3", "--split-depth", "-2"],
+        ["verify-lemma", "--gen", "rational:1/3", "--n", "8", "--w", "16",
+         "--threads", "2"],
+    ],
+    ids=[
+        "search-min_threads",
+        "search-min_threads_0",
+        "search-min_threads_-1",
+        "search-min_split-depth",
+        "search-min_split-depth_0",
+        "search-min_split-depth_-2",
+        "verify-lemma_threads",
     ],
 )
-def test_bad_split_depth_or_threads_exit_2(cap, argv, message):
+def test_removed_flag_exit_2(cap, argv):
     code, out, err = cap(argv)
     assert (code, out) == (2, "")
-    assert err.splitlines() == [err.strip()]
-    assert err.startswith(f"error: {message}, got ")
+    assert "unrecognized arguments: " + " ".join(argv[-2:]) in err
+
+
+@pytest.mark.parametrize("text", ["2..", "..3", "a", "2..3..4", ""])
+def test_search_malformed_n_names_flag(cap, text):
+    code, out, err = cap(["search-min", "--n", text])
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [f"error: --n must be N or A..B, got {text!r}"]
+
+
+@pytest.mark.parametrize("text,bad", [("29..52", 52), ("0..3", 0), ("60", 60)])
+def test_search_range_checked_before_searching(cap, monkeypatch, text, bad):
+    def fail(*args, **kwargs):
+        raise AssertionError("exhaustive_min called")
+
+    monkeypatch.setattr(cli, "exhaustive_min", fail)
+    code, out, err = cap(["search-min", "--n", text])
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [f"error: n={bad} outside [1, 51]"]
 
 
 class TestVerifyLemma:

@@ -115,12 +115,6 @@ class TestLemma1Verify:
             for c in rep.checkpoints:
                 assert c.margin >= 0 and c.passed
 
-    def test_threads_deterministic(self):
-        s = stream("random:9")
-        a = lemma1_verify(s, 128, 32, threads=1)
-        b = lemma1_verify(s, 128, 32, threads=4)
-        assert a == b
-
     def test_explicit_checkpoints_validated(self):
         s = stream("random:3")
         with pytest.raises(ValueError):

@@ -27,15 +27,20 @@ class TestExhaustiveMin:
         with pytest.raises(ValueError):
             exhaustive_min(0)
         with pytest.raises(ValueError):
-            exhaustive_min(31)
+            exhaustive_min(52)
         with pytest.raises(ValueError):
             exhaustive_min(4, cap=0)
 
     def test_prune_matches_plain(self):
-        for n in range(1, 11):
-            pruned = exhaustive_min(n, prune=True)
-            plain = exhaustive_min(n, prune=False)
+        # The pruned walks list the plain oracle's minimizers that start
+        # with 0; the plain walk's first 64 include all of those first.
+        for n in range(1, 15):
+            pruned = exhaustive_min(n, cap=64, prune=True)
+            plain = exhaustive_min(n, cap=64, prune=False)
             assert pruned.min_value == plain.min_value, n
+            assert [w.to01() for w in pruned.witnesses] == [
+                w.to01() for w in plain.witnesses if w.to01()[0] == "0"
+            ], n
             assert pruned.nodes_visited <= plain.nodes_visited
 
     def test_witnesses_recheck_and_complement(self):
@@ -70,20 +75,25 @@ class TestExhaustiveMin:
         for n in (4, 8, 16):
             assert exhaustive_min(n).min_value >= ExactValue(1, 1)
 
-    def test_threads_same_result(self):
-        a = exhaustive_min(10, split_depth=3, threads=1)
-        b = exhaustive_min(10, split_depth=3, threads=4)
-        assert a.min_value == b.min_value
-        assert [w.to01() for w in a.witnesses] == [w.to01() for w in b.witnesses]
-
-    def test_split_depth_invariance(self):
-        base = exhaustive_min(9)
-        for depth in (1, 2, 9, 12):
-            res = exhaustive_min(9, split_depth=depth)
-            assert res.min_value == base.min_value
-            assert [w.to01() for w in res.witnesses] == [
-                w.to01() for w in base.witnesses
-            ]
+    def test_minima_table_to_51(self):
+        # min(n) >= min(n - 1): a prefix's (k, M) ranges are subsets.
+        pinned = {
+            32: ExactValue(41, 5),
+            37: ExactValue(21, 4),
+            43: ExactValue(43, 5),
+            46: ExactValue(11, 3),
+            49: ExactValue(45, 5),
+            50: ExactValue(23, 4),
+            51: ExactValue(47, 5),
+        }
+        previous = ExactValue(0)
+        for n in range(1, 52):
+            res = exhaustive_min(n, cap=1)
+            assert res.min_value >= previous, n
+            assert normality_naive(res.witnesses[0]).value == res.min_value, n
+            if n in pinned:
+                assert res.min_value == pinned[n], n
+            previous = res.min_value
 
     def test_json_shape(self):
         d = exhaustive_min(4).to_json_dict()
