@@ -20,7 +20,7 @@ from typing import Optional
 from .bitcore import BitSequence, parse_bits
 from .discrepancy import extreme_discrepancy, parse_points_file
 from .generators import GeneratorSpec, file_bits
-from .measure import normality_fast, normality_naive
+from .measure import check_measure_n, normality_fast, normality_naive
 from .orbit import lemma1_verify, orbit_points
 from .search import QUANTILE_KEYS, check_search_n, exhaustive_min, typical_scan
 
@@ -117,6 +117,7 @@ def _load_sequence(args) -> BitSequence:
         return file_bits(args.input)
     if args.n is None:
         raise ValueError("--gen requires --n")
+    check_measure_n(args.n)
     return GeneratorSpec.parse(args.gen).bits(args.n)
 
 

@@ -285,6 +285,11 @@ def _finish(hi: np.ndarray, a: np.ndarray, w: int, i: int, pick):
     return best, idx[f.index(best)]
 
 
+def check_prefix_n(n: int) -> None:
+    if n >= 1 << 26:
+        raise ValueError("prefix engine supports fewer than 2^26 points")
+
+
 def prefix_deviation_numerators(nums: np.ndarray, w: int) -> list[int]:
     """For every prefix length M: the integer 2^w * M * D_M.
 
@@ -297,8 +302,7 @@ def prefix_deviation_numerators(nums: np.ndarray, w: int) -> list[int]:
     n = int(nums.size)
     if not 0 <= w <= 64:
         raise ValueError(f"w={w} outside [0, 64]")
-    if n >= (1 << 26):
-        raise ValueError("prefix engine supports fewer than 2^26 points")
+    check_prefix_n(n)
     highs, ranks = _split(nums, w)
     ah = np.empty(n, dtype=np.int64)
     out = np.empty(n, dtype=np.int64)

@@ -15,7 +15,9 @@ provided:
   piecewise linear between the steps where the rarest pattern catches up
   (so it is maximized at the step just before each catch-up, recoverable
   from the last position holding each occurrence rank). This turns the
-  per-k scan into a handful of vectorized passes. When a k takes the lead,
+  per-k scan into a handful of vectorized passes. The ranks need the
+  windows in stable order by code; that order is carried from k-1 to k
+  by one O(N) radix pass, so no k sorts. When a k takes the lead,
   the same pass reads the witness off the arrays it holds, so no k is
   ranked twice.
 
@@ -109,7 +111,7 @@ def _empty_report(n: int) -> NormalityReport:
     return NormalityReport(n, ExactValue(0), None, None, None, None, ())
 
 
-def _check_length(n: int) -> None:
+def check_measure_n(n: int) -> None:
     """The measure's domain is N <= 2^30: window codes (< N) and occurrence
     ranks are int32."""
     if n > MAX_MEASURE_N:
@@ -135,7 +137,7 @@ def normality_naive(seq: BitSequence) -> NormalityReport:
     """Reference evaluator: enumerates every pattern and takes cumulative
     counts over M directly from the definition."""
     n = len(seq)
-    _check_length(n)
+    check_measure_n(n)
     klim = max_block_length(n)
     if klim < 1:
         return _empty_report(n)
@@ -184,14 +186,30 @@ def normality_naive(seq: BitSequence) -> NormalityReport:
 # -- single-pass evaluator ---------------------------------------------
 
 
-def _occurrence_ranks(codes: np.ndarray) -> np.ndarray:
-    """occ[i] = how many windows among the first i+1 equal the window at i.
+def _carry_order(order: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """The windows' stable order by code for k, from the order for k-1
+    (overwritten): code_k[i] = bits[i]*2^(k-1) + code_{k-1}[i+1], so drop
+    window 0, shift the rest down one index and partition stably by
+    bits[i], zeros first. One LSD radix pass.
+    """
+    rest = order[order != 0]
+    rest -= 1
+    ones = bits.view(bool)[rest]
+    out = order[: rest.size]
+    zeros = rest.size - np.count_nonzero(ones)
+    np.compress(~ones, rest, out=out[:zeros])
+    np.compress(ones, rest, out=out[zeros:])
+    return out
 
-    int32 throughout: the radix sort and gathers are memory-bound, and the
-    measure's domain (N <= 2^30) fits.
+
+def _occurrence_ranks(codes: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """occ[i] = how many windows among the first i+1 equal the window at i,
+    given the stable order of the windows by code.
+
+    int32 throughout: the gathers and the scatter are memory-bound, and
+    the measure's domain (N <= 2^30) fits.
     """
     m = codes.shape[0]
-    order = np.argsort(codes, kind="stable")
     sc = codes[order]
     new = np.empty(m, dtype=bool)
     new[0] = True
@@ -220,15 +238,15 @@ def _min_side_profile(occ: np.ndarray, k: int) -> np.ndarray:
     if levels:
         # Fancy assignment with duplicate indices keeps the last write, i.e.
         # the largest step, per rank.
-        last = np.zeros(counts.size, dtype=np.int64)
-        last[occ] = np.arange(1, m + 1, dtype=np.int64)
+        last = np.zeros(counts.size, dtype=np.int32)
+        last[occ] = np.arange(1, m + 1, dtype=np.int32)
         ends[:levels] = last[1 : levels + 1] - 1
     ends[levels] = m
     return ends
 
 
 def _scan_k(
-    codes: np.ndarray, k: int, best: Optional[tuple[int, ...]]
+    codes: np.ndarray, order: np.ndarray, k: int, best: Optional[tuple[int, ...]]
 ) -> tuple[int, Optional[tuple[int, int, int]]]:
     """This k's maximum scaled deviation max_{X,M} |2^k*T(M,X) - M| and, if
     it beats `best` = (num, k, ...), the smallest (pattern, M, T) attaining it.
@@ -238,7 +256,7 @@ def _scan_k(
     codes[ends[v]], has count v there; at the final level, all with count v.
     """
     m = codes.shape[0]
-    occ = _occurrence_ranks(codes)
+    occ = _occurrence_ranks(codes, order)
     dev = occ.astype(np.int64)
     dev <<= k
     dev -= np.arange(1, m + 1, dtype=np.int64)
@@ -267,18 +285,20 @@ def _scan_k(
 def normality_fast(seq: BitSequence) -> NormalityReport:
     """Single-pass-per-k evaluator; contract identical to normality_naive."""
     n = len(seq)
-    _check_length(n)
+    check_measure_n(n)
     klim = max_block_length(n)
     if klim < 1:
         return _empty_report(n)
-    bits = seq.to_numpy().astype(np.int32)
+    bits = seq.to_numpy()
     per_k: list[tuple[int, ExactValue]] = []
     best: Optional[tuple[int, int, int, int, int]] = None  # num, k, x, m, t
-    codes = bits
+    codes = bits.astype(np.int32)
+    order = np.arange(n + 1, dtype=np.int32)  # the n+1 empty windows (k = 0)
     for k in range(1, klim + 1):
         if k > 1:
             codes = _extend_codes(codes, bits, k)
-        num, found = _scan_k(codes, k, best)
+        order = _carry_order(order, bits)
+        num, found = _scan_k(codes, order, k, best)
         per_k.append((k, ExactValue(num, k)))
         if found is not None:
             best = (num, k, *found)

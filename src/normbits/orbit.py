@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .bitcore import BitSequence, ExactValue, Pattern, frac_dict
-from .discrepancy import PointSet, phi_envelope
+from .discrepancy import PointSet, check_prefix_n, phi_envelope
 from .generators import DigitStream, StreamExhausted
 from .measure import max_block_length, normality_fast
 
@@ -169,6 +169,7 @@ def lemma1_verify(
     if n < 1:
         raise ValueError("n must be >= 1")
     _check_window(n, w)
+    check_prefix_n(n)
     if checkpoints is None:
         cps = default_checkpoints(n)
     else:

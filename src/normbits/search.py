@@ -31,7 +31,7 @@ import numpy as np
 
 from .bitcore import BitSequence, ExactValue
 from .generators import RANDOM_ALGORITHM, random_bits, sample_seed
-from .measure import max_block_length, normality_fast
+from .measure import check_measure_n, max_block_length, normality_fast
 
 __all__ = ["SearchResult", "ScanStats", "exhaustive_min", "typical_scan"]
 
@@ -241,6 +241,7 @@ def typical_scan(n: int, samples: int, seed: int) -> ScanStats:
         raise ValueError("samples must be >= 1")
     if n < 1:
         raise ValueError("n must be >= 1")
+    check_measure_n(n)
     root = math.sqrt(n)
     ratios = np.empty(samples, dtype=np.float64)
     for i in range(samples):

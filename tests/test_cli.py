@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from normbits import cli
+from normbits import cli, search
 from normbits.cli import run
 
 
@@ -180,6 +180,29 @@ def test_search_range_checked_before_searching(cap, monkeypatch, text, bad):
     code, out, err = cap(["search-min", "--n", text])
     assert (code, out) == (2, "")
     assert err.splitlines() == [f"error: n={bad} outside [1, 51]"]
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["measure", "--gen", "random:1", "--n", str((1 << 30) + 1)],
+         "sequence length 1073741825 exceeds the measure's limit 2^30"),
+        (["scan", "--n", str((1 << 30) + 1), "--samples", "1", "--seed", "0"],
+         "sequence length 1073741825 exceeds the measure's limit 2^30"),
+        (["verify-lemma", "--gen", "random:1", "--n", str(1 << 26)],
+         "prefix engine supports fewer than 2^26 points"),
+    ],
+    ids=["measure", "scan", "verify-lemma"],
+)
+def test_limits_checked_before_generating(cap, monkeypatch, argv, message):
+    def fail(*args, **kwargs):
+        raise AssertionError("digits generated")
+
+    monkeypatch.setattr(cli.GeneratorSpec, "bits", fail)
+    monkeypatch.setattr(search, "random_bits", fail)
+    code, out, err = cap(argv)
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [f"error: {message}"]
 
 
 class TestVerifyLemma:

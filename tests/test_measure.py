@@ -1,11 +1,13 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from normbits import measure
 from normbits.bitcore import BitSequence, ExactValue, Pattern, parse_bits
-from normbits.generators import random_bits
+from normbits.generators import GeneratorSpec, random_bits
 from normbits.measure import (
     count_occurrences,
     max_block_length,
@@ -25,6 +27,13 @@ def zeros_closed_form(n: int) -> ExactValue:
         if cand > best:
             best = cand
     return best
+
+
+def sequence(spec: str, n: int) -> BitSequence:
+    """n digits of a generator spec, or of a digit string repeated."""
+    if set(spec) <= {"0", "1"}:
+        return parse_bits((spec * n)[:n])
+    return GeneratorSpec.parse(spec).bits(n)
 
 
 def reports_equal(a, b) -> bool:
@@ -109,6 +118,42 @@ class TestOracleEquivalence:
         for exp in range(3, 13):
             n = 1 << exp
             assert normality_fast(BitSequence([0] * n)).value == zeros_closed_form(n)
+
+    @pytest.mark.parametrize(
+        "spec,n",
+        [("011", 1024), ("011", 4095), ("00101", 2048), ("0001011", 4096),
+         ("champernowne", 4096), ("1", 3000)],
+    )
+    def test_structured_ties(self, spec, n):
+        # Few distinct windows and many equal counts: the tie-breaks decide
+        # the witness, so the whole report must match.
+        seq = sequence(spec, n)
+        assert reports_equal(normality_naive(seq), normality_fast(seq))
+
+
+@pytest.mark.parametrize(
+    "spec,n",
+    [("0", 300), ("1", 300), ("rational:1/3", 500), ("rational:1/7", 777),
+     ("champernowne", 1000), ("random:5", 2), ("random:6", 3), ("random:7", 7),
+     ("random:8", 255), ("random:9", 1024), ("random:10", 4097)],
+)
+def test_carried_order_is_stable_sort(spec, n, monkeypatch):
+    # n = 2^k - 1 is the last length before a new k; at n = 1024 and 4097
+    # the 2^k patterns of the top k outnumber its windows.
+    seen = []  # copies: the order's buffer is reused from k to k
+    ranks = measure._occurrence_ranks
+
+    def spy(codes, order):
+        seen.append((codes.copy(), order.copy()))
+        return ranks(codes, order)
+
+    monkeypatch.setattr(measure, "_occurrence_ranks", spy)
+    normality_fast(sequence(spec, n))
+    assert len(seen) == max_block_length(n)
+    for k, (codes, order) in enumerate(seen, 1):
+        assert codes.size == n + 1 - k
+        assert order.dtype == np.int32
+        np.testing.assert_array_equal(order, np.argsort(codes, kind="stable"))
 
 
 class TestProperties:
