@@ -5,6 +5,12 @@ generate. Every run embeds its configuration in the output for
 provenance, and identical configurations produce byte-identical output
 (no timestamps or environment data in the payload).
 
+The five payload commands return their data as a Payload, and `run`
+writes it once. The config echoes "subcommand", then the command's own
+keys, then "format" and "output". JSON is {"config": ..., **body} with
+indent 2; CSV is a "# config: <JSON>" line, the header and the rows, with
+None written as an empty cell. `generate` writes bare digits.
+
 Exit codes: 0 on success, 1 when verify-lemma finds a failed checkpoint,
 2 on usage or input errors.
 """
@@ -12,13 +18,12 @@ Exit codes: 0 on success, 1 when verify-lemma finds a failed checkpoint,
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import sys
 from typing import Optional
 
 from .bitcore import BitSequence, parse_bits
-from .discrepancy import extreme_discrepancy, parse_points_file
+from .discrepancy import check_single_set_n, extreme_discrepancy, parse_points_file
 from .generators import GeneratorSpec, file_bits
 from .measure import check_measure_n, normality_fast, normality_naive
 from .orbit import lemma1_verify, orbit_points
@@ -27,6 +32,9 @@ from .search import QUANTILE_KEYS, check_search_n, exhaustive_min, typical_scan
 __all__ = ["run", "main"]
 
 MAX_INLINE_BITS = 1 << 16
+
+# (config fields, JSON body, CSV header, CSV rows, exit code)
+Payload = tuple[dict, dict, list[str], list[list], int]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -90,19 +98,6 @@ def _emit(text: str, path: Optional[str]) -> None:
             fh.write(text)
 
 
-def _json_payload(config: dict, body: dict) -> str:
-    return json.dumps({"config": config, **body}, indent=2) + "\n"
-
-
-def _csv_text(config: dict, header: list[str], rows: list[list]) -> str:
-    buf = io.StringIO()
-    buf.write("# config: " + json.dumps(config) + "\n")
-    buf.write(",".join(header) + "\n")
-    for row in rows:
-        buf.write(",".join("" if v is None else str(v) for v in row) + "\n")
-    return buf.getvalue()
-
-
 def _load_sequence(args) -> BitSequence:
     sources = [s for s in (args.bits, args.input, args.gen) if s is not None]
     if len(sources) != 1:
@@ -121,46 +116,38 @@ def _load_sequence(args) -> BitSequence:
     return GeneratorSpec.parse(args.gen).bits(args.n)
 
 
-def _cmd_measure(args) -> int:
+def _cmd_measure(args) -> Payload:
     seq = _load_sequence(args)
-    config = {
-        "subcommand": "measure",
+    fields = {
         "bits": args.bits,
         "input": args.input,
         "gen": args.gen,
         "n": len(seq),
         "algorithm": args.algorithm,
-        "format": args.format,
-        "output": args.output,
     }
     evaluate = normality_fast if args.algorithm == "fast" else normality_naive
-    report = evaluate(seq)
-    if args.format == "json":
-        _emit(_json_payload(config, {"report": report.to_json_dict()}), args.output)
-    else:
-        d = report.to_json_dict()
-        rows = [
-            [
-                "max",
-                d["k"],
-                d["pattern"],
-                d["M"],
-                d["T"],
-                d["value_num"],
-                d["value_log2_den"],
-                d["value_decimal"],
-            ]
+    d = evaluate(seq).to_json_dict()
+    header = ["kind", "k", "pattern", "M", "T", "num", "log2_den", "decimal"]
+    rows = [
+        [
+            "max",
+            d["k"],
+            d["pattern"],
+            d["M"],
+            d["T"],
+            d["value_num"],
+            d["value_log2_den"],
+            d["value_decimal"],
         ]
-        rows += [
-            ["per_k", e["k"], None, None, None, e["num"], e["log2_den"], e["decimal"]]
-            for e in d["per_k"]
-        ]
-        header = ["kind", "k", "pattern", "M", "T", "num", "log2_den", "decimal"]
-        _emit(_csv_text(config, header, rows), args.output)
-    return 0
+    ]
+    rows += [
+        ["per_k", e["k"], None, None, None, e["num"], e["log2_den"], e["decimal"]]
+        for e in d["per_k"]
+    ]
+    return fields, {"report": d}, header, rows, 0
 
 
-def _cmd_discrepancy(args) -> int:
+def _cmd_discrepancy(args) -> Payload:
     sources = [s for s in (args.points, args.gen) if s is not None]
     if len(sources) != 1:
         raise ValueError("provide exactly one of --points, --gen")
@@ -169,79 +156,53 @@ def _cmd_discrepancy(args) -> int:
     else:
         if args.n is None:
             raise ValueError("--gen requires --n")
+        check_single_set_n(args.n)
         points = orbit_points(GeneratorSpec.parse(args.gen).stream(), args.n, args.w)
-    config = {
-        "subcommand": "discrepancy",
+    fields = {
         "points": args.points,
         "gen": args.gen,
         "n": points.size,
         "w": args.w if args.gen else None,
-        "format": args.format,
-        "output": args.output,
     }
-    report = extreme_discrepancy(points)
-    if args.format == "json":
-        _emit(_json_payload(config, {"report": report.to_json_dict()}), args.output)
-    else:
-        d = report.to_json_dict()
-        rows = [
-            ["extreme", d["extreme_num"], d["extreme_den"], d["extreme_decimal"]],
-            ["star", d["star_num"], d["star_den"], d["star_decimal"]],
-        ]
-        _emit(_csv_text(config, ["stat", "num", "den", "decimal"], rows), args.output)
-    return 0
+    d = extreme_discrepancy(points).to_json_dict()
+    rows = [
+        ["extreme", d["extreme_num"], d["extreme_den"], d["extreme_decimal"]],
+        ["star", d["star_num"], d["star_den"], d["star_decimal"]],
+    ]
+    return fields, {"report": d}, ["stat", "num", "den", "decimal"], rows, 0
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> Payload:
     checkpoints = None
     if args.checkpoints:
         try:
             checkpoints = [int(c) for c in args.checkpoints.split(",") if c.strip()]
         except ValueError:
             raise ValueError(f"invalid checkpoint list {args.checkpoints!r}") from None
-    config = {
-        "subcommand": "verify-lemma",
-        "gen": args.gen,
-        "n": args.n,
-        "w": args.w,
-        "checkpoints": checkpoints,
-        "format": args.format,
-        "output": args.output,
-    }
+    fields = {"gen": args.gen, "n": args.n, "w": args.w, "checkpoints": checkpoints}
     report = lemma1_verify(
         GeneratorSpec.parse(args.gen).stream(),
         args.n,
         args.w,
         checkpoints=checkpoints,
     )
-    if args.format == "json":
-        _emit(_json_payload(config, {"report": report.to_json_dict()}), args.output)
-    else:
-        rows = [
-            [
-                c.n,
-                c.normality.num,
-                c.normality.log2_den,
-                c.phi.numerator,
-                c.phi.denominator,
-                c.margin.numerator,
-                c.margin.denominator,
-                c.passed,
-            ]
-            for c in report.checkpoints
+    header = ["n", "normality_num", "normality_log2_den", "phi_num", "phi_den"]
+    header += ["margin_num", "margin_den", "pass"]
+    rows = [
+        [
+            c.n,
+            c.normality.num,
+            c.normality.log2_den,
+            c.phi.numerator,
+            c.phi.denominator,
+            c.margin.numerator,
+            c.margin.denominator,
+            c.passed,
         ]
-        header = [
-            "n",
-            "normality_num",
-            "normality_log2_den",
-            "phi_num",
-            "phi_den",
-            "margin_num",
-            "margin_den",
-            "pass",
-        ]
-        _emit(_csv_text(config, header, rows), args.output)
-    return 0 if report.overall_pass else 1
+        for c in report.checkpoints
+    ]
+    code = 0 if report.overall_pass else 1
+    return fields, {"report": report.to_json_dict()}, header, rows, code
 
 
 def _parse_n_range(text: str) -> list[int]:
@@ -259,68 +220,38 @@ def _parse_n_range(text: str) -> list[int]:
     return list(range(lo, hi + 1))
 
 
-def _cmd_search(args) -> int:
+def _cmd_search(args) -> Payload:
     ns = _parse_n_range(args.n)
-    config = {
-        "subcommand": "search-min",
-        "n": args.n,
-        "cap": args.cap,
-        "prune": not args.no_prune,
-        "format": args.format,
-        "output": args.output,
-    }
+    fields = {"n": args.n, "cap": args.cap, "prune": not args.no_prune}
     results = [exhaustive_min(n, cap=args.cap, prune=not args.no_prune) for n in ns]
-    if args.format == "json":
-        body = {"reports": [r.to_json_dict() for r in results]}
-        _emit(_json_payload(config, body), args.output)
-    else:
-        rows = [
-            [
-                r.n,
-                r.min_value.num,
-                r.min_value.log2_den,
-                r.min_value.decimal(),
-                r.witnesses[0].to01() if r.witnesses else None,
-            ]
-            for r in results
+    header = ["N", "min_num", "min_log2_den", "min_decimal", "witness"]
+    rows = [
+        [
+            r.n,
+            r.min_value.num,
+            r.min_value.log2_den,
+            r.min_value.decimal(),
+            r.witnesses[0].to01() if r.witnesses else None,
         ]
-        header = ["N", "min_num", "min_log2_den", "min_decimal", "witness"]
-        _emit(_csv_text(config, header, rows), args.output)
-    return 0
+        for r in results
+    ]
+    return fields, {"reports": [r.to_json_dict() for r in results]}, header, rows, 0
 
 
-def _cmd_scan(args) -> int:
-    config = {
-        "subcommand": "scan",
-        "n": args.n,
-        "samples": args.samples,
-        "seed": args.seed,
-        "format": args.format,
-        "output": args.output,
-    }
+def _cmd_scan(args) -> Payload:
+    fields = {"n": args.n, "samples": args.samples, "seed": args.seed}
     stats = typical_scan(args.n, args.samples, args.seed)
-    if args.format == "json":
-        _emit(_json_payload(config, {"report": stats.to_json_dict()}), args.output)
-    else:
-        header = ["n", "samples", "seed"] + list(QUANTILE_KEYS)
-        rows = [[stats.n, stats.samples, stats.seed] + [repr(q) for q in stats.quantiles]]
-        _emit(_csv_text(config, header, rows), args.output)
-    return 0
+    header = ["n", "samples", "seed"] + list(QUANTILE_KEYS)
+    rows = [[stats.n, stats.samples, stats.seed] + [repr(q) for q in stats.quantiles]]
+    return fields, {"report": stats.to_json_dict()}, header, rows, 0
 
 
-def _cmd_generate(args) -> int:
-    seq = GeneratorSpec.parse(args.gen).bits(args.n)
-    _emit(seq.to01() + "\n", args.output)
-    return 0
-
-
-_DISPATCH = {
+_PAYLOAD_COMMANDS = {
     "measure": _cmd_measure,
     "discrepancy": _cmd_discrepancy,
     "verify-lemma": _cmd_verify,
     "search-min": _cmd_search,
     "scan": _cmd_scan,
-    "generate": _cmd_generate,
 }
 
 
@@ -332,7 +263,25 @@ def run(argv: list[str]) -> int:
         # argparse exits 2 on usage errors and 0 on --help
         return int(exc.code or 0)
     try:
-        return _DISPATCH[args.subcommand](args)
+        if args.subcommand == "generate":
+            seq = GeneratorSpec.parse(args.gen).bits(args.n)
+            text, code = seq.to01() + "\n", 0
+        else:
+            fields, body, header, rows, code = _PAYLOAD_COMMANDS[args.subcommand](args)
+            config = {
+                "subcommand": args.subcommand,
+                **fields,
+                "format": args.format,
+                "output": args.output,
+            }
+            if args.format == "json":
+                text = json.dumps({"config": config, **body}, indent=2) + "\n"
+            else:
+                lines = ["# config: " + json.dumps(config), ",".join(header)]
+                lines += [",".join("" if v is None else str(v) for v in r) for r in rows]
+                text = "\n".join(lines) + "\n"
+        _emit(text, args.output)
+        return code
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -65,6 +65,7 @@ __all__ = [
 
 LEFT_LIMIT = "left-limit"
 RIGHT_LIMIT = "right-limit"
+MAX_POINT_W = 4096  # largest w of a points-file line num/2^w
 
 class PointSet:
     """Finite multiset of exact points in [0,1), kept in arrival order.
@@ -170,9 +171,10 @@ def extreme_discrepancy(points: PointSet) -> DiscrepancyReport:
     n = points.size
     if n == 0:
         raise ValueError("empty point set")
+    check_single_set_n(n)
     den = points.den
     dy = points.dyadic_view()
-    if dy is not None and n < (1 << 31):
+    if dy is not None:
         nums, w = dy
         a = np.sort(nums)
         ah, ranks = _split(a, w)
@@ -285,6 +287,11 @@ def _finish(hi: np.ndarray, a: np.ndarray, w: int, i: int, pick):
     return best, idx[f.index(best)]
 
 
+def check_single_set_n(n: int) -> None:
+    if n >= 1 << 31:
+        raise ValueError("discrepancy supports fewer than 2^31 points")
+
+
 def check_prefix_n(n: int) -> None:
     if n >= 1 << 26:
         raise ValueError("prefix engine supports fewer than 2^26 points")
@@ -345,7 +352,7 @@ def phi_envelope(nums: np.ndarray, w: int) -> list[int]:
 
 
 def parse_points_file(path: str) -> PointSet:
-    """Read a point set from a text file of "num/2^w" lines.
+    """Read a point set from a text file of "num/2^w" lines, w <= MAX_POINT_W.
 
     Blank lines and lines starting with '#' are skipped.
     """
@@ -365,7 +372,9 @@ def parse_points_file(path: str) -> PointSet:
             raise ValueError(
                 f"{path}:{lineno}: expected num/2^w, got {text!r}"
             ) from None
-        if w < 0 or num < 0 or num >= (1 << w):
+        if w > MAX_POINT_W:
+            raise ValueError(f"{path}:{lineno}: w={w} exceeds {MAX_POINT_W}")
+        if w < 0 or num < 0 or num.bit_length() > w:
             raise ValueError(f"{path}:{lineno}: {text!r} is not in [0, 1)")
         values.append(Fraction(num, 1 << w))
     return PointSet(values)

@@ -17,7 +17,6 @@ yields identical digits on every platform.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -206,8 +205,6 @@ class GeneratorSpec:
             return rational_bits(self.p, self.q, n)
         if self.kind == "random":
             return random_bits(self.seed, n)
-        if not os.path.exists(self.path):
-            raise ValueError(f"file not found: {self.path}")
         return file_bits(self.path, n)
 
     def stream(self) -> DigitStream:

@@ -99,6 +99,14 @@ class TestDiscrepancy:
     def test_missing_file(self, cap):
         assert cap(["discrepancy", "--points", "/nonexistent/p.txt"])[0] == 2
 
+    @pytest.mark.parametrize("w", ["4097", "1000000000000"])
+    def test_points_exponent_bounded_before_power(self, cap, tmp_path, w):
+        path = tmp_path / "pts.txt"
+        path.write_text(f"1/2^4\n1/2^{w}\n")
+        code, out, err = cap(["discrepancy", "--points", str(path)])
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [f"error: {path}:2: w={w} exceeds 4096"]
+
     def test_csv(self, cap, tmp_path):
         path = tmp_path / "pts.txt"
         path.write_text("1/2^1\n")
@@ -134,6 +142,27 @@ def test_non_ascii_file_names_path(cap, tmp_path, argv):
     code, out, err = cap([a.format(path=path) for a in argv])
     assert (code, out) == (2, "")
     assert err.splitlines() == [f"error: {path}: non-ASCII byte 0xff"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["measure", "--input", "{path}"],
+        ["measure", "--gen", "file:{path}", "--n", "4"],
+        ["discrepancy", "--gen", "file:{path}", "--n", "4", "--w", "8"],
+        ["discrepancy", "--points", "{path}"],
+    ],
+    ids=["input", "gen-file", "discrepancy-gen-file", "points"],
+)
+def test_missing_file_one_message(cap, tmp_path, argv):
+    path = tmp_path / "missing.txt"
+    code, out, err = cap([a.format(path=path) for a in argv])
+    assert (code, out) == (2, "")
+    # every route opens the file through read_ascii, so the line is the same
+    expected = cap(["measure", "--input", str(path)])[2]
+    assert err == expected
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and str(path) in err
 
 
 @pytest.mark.parametrize(
@@ -191,8 +220,10 @@ def test_search_range_checked_before_searching(cap, monkeypatch, text, bad):
          "sequence length 1073741825 exceeds the measure's limit 2^30"),
         (["verify-lemma", "--gen", "random:1", "--n", str(1 << 26)],
          "prefix engine supports fewer than 2^26 points"),
+        (["discrepancy", "--gen", "random:1", "--n", str(1 << 31), "--w", "64"],
+         "discrepancy supports fewer than 2^31 points"),
     ],
-    ids=["measure", "scan", "verify-lemma"],
+    ids=["measure", "scan", "verify-lemma", "discrepancy"],
 )
 def test_limits_checked_before_generating(cap, monkeypatch, argv, message):
     def fail(*args, **kwargs):
@@ -277,6 +308,15 @@ class TestSearchScanGenerate:
         assert path.read_text() == "10010001\n"
 
 
+PAYLOAD_ARGV = {
+    "measure": ["measure", "--bits", "0110"],
+    "discrepancy": ["discrepancy", "--gen", "rational:1/3", "--n", "8", "--w", "16"],
+    "verify-lemma": ["verify-lemma", "--gen", "rational:1/3", "--n", "8", "--w", "16"],
+    "search-min": ["search-min", "--n", "2..4"],
+    "scan": ["scan", "--n", "64", "--samples", "2", "--seed", "1"],
+}
+
+
 class TestDispatch:
     def test_unknown_subcommand(self, cap):
         assert cap(["frobnicate"])[0] == 2
@@ -287,12 +327,14 @@ class TestDispatch:
     def test_help_exit_0(self, cap):
         assert cap(["--help"])[0] == 0
 
-    def test_output_file_byte_identical(self, cap, tmp_path):
-        p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-        base = ["measure", "--bits", "0110", "--output"]
-        assert cap(base + [str(p1)])[0] == 0
-        assert cap(base + [str(p2)])[0] == 0
-        # identical config up to the output path; reports identical
-        r1 = json.loads(p1.read_text())["report"]
-        r2 = json.loads(p2.read_text())["report"]
-        assert r1 == r2
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("argv", list(PAYLOAD_ARGV.values()), ids=list(PAYLOAD_ARGV))
+    def test_output_file_byte_identical(self, cap, tmp_path, argv, fmt):
+        argv = argv + ["--format", fmt]
+        code, expected, _ = cap(argv)
+        path = tmp_path / f"payload.{fmt}"
+        assert cap(argv + ["--output", str(path)]) == (code, "", "")
+        # the file holds the stdout payload, except for the config's output
+        assert expected.count('"output": null') == 1
+        echo = '"output": ' + json.dumps(str(path))
+        assert path.read_bytes() == expected.replace('"output": null', echo).encode()

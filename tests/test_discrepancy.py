@@ -125,6 +125,12 @@ class TestExtremeDiscrepancy:
         with pytest.raises(ValueError):
             PointSet([Fraction(-1, 4)])
 
+    def test_refuses_2_31_points(self):
+        # a zero-stride view: 2^31 points that cost no memory
+        nums = np.broadcast_to(np.uint64(0), (1 << 31,))
+        with pytest.raises(ValueError, match="fewer than 2\\^31 points"):
+            extreme_discrepancy(PointSet._of(nums, 1 << 64))
+
     def test_reference_zero_point(self):
         assert extreme_discrepancy_reference(PointSet([Fraction(0)])) == 1
 
@@ -362,6 +368,17 @@ class TestPointsFile:
             parse_points_file(str(path))
         path.write_text("9/2^3\n")
         with pytest.raises(ValueError):
+            parse_points_file(str(path))
+
+    def test_parse_exponent_bound(self, tmp_path):
+        path = tmp_path / "points.txt"
+        path.write_text(f"{(1 << 4096) - 1}/2^4096\n")
+        assert parse_points_file(str(path)).values == (1 - Fraction(1, 1 << 4096),)
+        path.write_text(f"{1 << 4096}/2^4096\n")
+        with pytest.raises(ValueError, match=":1: .* is not in \\[0, 1\\)"):
+            parse_points_file(str(path))
+        path.write_text("0/2^1\n1/2^4097\n")
+        with pytest.raises(ValueError, match=":2: w=4097 exceeds 4096$"):
             parse_points_file(str(path))
 
     def test_report_json(self):
