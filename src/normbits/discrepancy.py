@@ -33,18 +33,19 @@ hi_i = i*2^(w-s) - M*ah_i. Since f_i = 2^s*hi_i - M*al_i with
 hi_i > max(hi) - M can attain max f, and only ranks with
 hi_i < min(hi) + M can attain min f. Those few are finished in Python
 ints; for w <= 32, s = 0 and hi is f. The kernel serves a single set
-(M = N after one sort) and every step of the all-prefix engine (M = m
-after one sorted insert).
+(M = N after one sort), every step of the all-prefix engine (M = m
+after one sorted insert) and each prefix that phi_envelope evaluates
+(M = j after compressing the once-sorted points by arrival index).
 """
 
 from __future__ import annotations
 
-import itertools
+import heapq
 import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -343,12 +344,87 @@ def prefix_discrepancies(points: PointSet) -> list[Fraction]:
     return [Fraction(d, m << w) for m, d in enumerate(dnums, start=1)]
 
 
-def phi_envelope(nums: np.ndarray, w: int) -> list[int]:
-    """Phi(M) * 2^w for every M: the running maximum of the integers
-    2^w * m * D_m over m <= M (see prefix_deviation_numerators)."""
-    if len(nums) == 0:
+def phi_envelope(nums: np.ndarray, w: int, checkpoints: Sequence[int]) -> list[int]:
+    """2^w * Phi(m) at each checkpoint m: Phi(m) = max over j <= m of j*D_j.
+
+    The checkpoints must increase strictly and lie in [1, N]. Only the
+    prefixes that could raise Phi are evaluated. The search rests on the
+    integers v(j) = 2^w * j * D_j, with v(0) = 0, moving by at most 2^w per
+    point: adding y changes C(I) - j|I| by 1[y in I] - |I|, which lies in
+    [-1, 1]. So no j between exact v(lo) and v(hi) exceeds
+    (v(lo) + v(hi) + (hi - lo)*2^w) // 2, and no j in (lo, m] exceeds
+    v(lo) + (m - lo)*2^w.
+
+    A checkpoint whose one-sided bound cannot beat the running maximum
+    reports that maximum. Otherwise v(m) is evaluated, and the interval
+    from the last evaluated checkpoint to m is bisected best-first (a heap
+    keyed on the two-sided bound) while some piece's bound beats the
+    running maximum. The points are sorted once; one compress by arrival
+    index gives the first m in sorted order, a second the first j of
+    those, and the integer kernel takes them from there. The running
+    maximum of prefix_deviation_numerators gives every value at once, and
+    is the oracle.
+    """
+    nums = np.asarray(nums, dtype=np.uint64)
+    n = int(nums.size)
+    if n == 0:
         raise ValueError("empty point set")
-    return list(itertools.accumulate(prefix_deviation_numerators(nums, w), max))
+    if not 0 <= w <= 64:
+        raise ValueError(f"w={w} outside [0, 64]")
+    check_prefix_n(n)
+    cps = [int(c) for c in checkpoints]
+    if not cps:
+        raise ValueError("empty checkpoint list")
+    if any(b <= a for a, b in zip(cps, cps[1:])):
+        raise ValueError("checkpoints must increase strictly")
+    if cps[0] < 1 or cps[-1] > n:
+        raise ValueError(f"checkpoints must lie in [1, {n}]")
+    one = 1 << w
+    highs, ranks = _split(nums, w)
+    order = np.argsort(nums)
+    sorted_highs = highs[order]
+    # For w <= 32 the high part is the numerator, and one array serves.
+    sorted_nums = nums[order] if w > 32 else sorted_highs
+    scratch = np.empty(n, dtype=np.int64)
+
+    def select(a, ah, keep):
+        ah = ah[keep]
+        return (a[keep] if w > 32 else ah), ah
+
+    def v(a, ah) -> int:
+        fmax, _, fmin, _ = _rank_extremes(a, ah, ranks, scratch, w)
+        return fmax - fmin + one
+
+    best, prev, vprev, out = 0, 0, 0, []
+    heap: list[tuple[int, int, int, int, int]] = []
+
+    def push(lo: int, vlo: int, hi: int, vhi: int) -> None:
+        b = (vlo + vhi + (hi - lo) * one) // 2
+        if hi - lo > 1 and b > best:
+            heapq.heappush(heap, (-b, lo, vlo, hi, vhi))
+
+    for m in cps:
+        if vprev + (m - prev) * one <= best:
+            out.append(best)
+            continue
+        first = order < m
+        a, ah = select(sorted_nums, sorted_highs, first)
+        vm = v(a, ah)
+        best = max(best, vm)
+        push(prev, vprev, m, vm)
+        if heap:  # an interior prefix will be evaluated
+            arrival = order[first]
+        while heap and -heap[0][0] > best:
+            _, lo, vlo, hi, vhi = heapq.heappop(heap)
+            mid = (lo + hi) // 2
+            vmid = v(*select(a, ah, arrival < mid))
+            best = max(best, vmid)
+            push(lo, vlo, mid, vmid)
+            push(mid, vmid, hi, vhi)
+        heap.clear()  # no piece left can beat best
+        out.append(best)
+        prev, vprev = m, vm
+    return out
 
 
 def parse_points_file(path: str) -> PointSet:

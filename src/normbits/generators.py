@@ -4,7 +4,7 @@ Four kinds are supported:
 
 * ``champernowne`` - the base-2 Champernowne expansion 1|10|11|100|...
 * ``rational:p/q`` - binary digits of p/q by long division (0 <= p < q)
-* ``random:SEED``  - splitmix64 keystream bits (see below)
+* ``random:SEED``  - splitmix64 keystream bits, SEED in [0, 2^64) (see below)
 * ``file:PATH``    - bit-text file: {0,1} digits (whitespace ignored) or
   one ``hex:<digits>/<length>`` form
 
@@ -45,11 +45,13 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 
 
 def splitmix64_outputs(seed: int, count: int) -> np.ndarray:
-    """First `count` 64-bit splitmix64 outputs for the given seed."""
+    """First `count` 64-bit splitmix64 outputs for a seed in [0, 2^64)."""
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed {seed} outside [0, 2^64)")
     if count < 0:
         raise ValueError("count must be >= 0")
     idx = np.arange(1, count + 1, dtype=np.uint64)
-    z = np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + idx * _GOLDEN
+    z = np.uint64(seed) + idx * _GOLDEN
     z = (z ^ (z >> np.uint64(30))) * _MIX1
     z = (z ^ (z >> np.uint64(27))) * _MIX2
     return z ^ (z >> np.uint64(31))

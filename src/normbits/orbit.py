@@ -161,10 +161,12 @@ def lemma1_verify(
 ) -> VerificationReport:
     """Check normality(Z_m) <= Phi(m) at every checkpoint m.
 
-    Phi is the running maximum of j * D_j over the w-bit orbit prefix
-    discrepancies; since every j * D_j has denominator 2^w, the envelope
-    is the running integer maximum phi_envelope. The digit prefix is shared
-    by both sides, so the inequality is exact (no epsilon handling).
+    Phi(m) is the maximum of j * D_j over j <= m for the w-bit orbit
+    prefix discrepancies. Every j * D_j has denominator 2^w, so
+    phi_envelope returns the integers 2^w * Phi(m) at the checkpoints
+    alone, evaluating only the prefixes whose Lipschitz bound can beat the
+    running maximum. The digit prefix is shared by both sides, so the
+    inequality is exact (no epsilon handling).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -180,17 +182,17 @@ def lemma1_verify(
             raise ValueError(f"checkpoints must lie in [1, {n}]")
     digits = _orbit_digits(stream, n, w)
     nums = _window_numerators(digits.to_numpy(), n, w)
-    env = phi_envelope(nums, w)
+    env = phi_envelope(nums, w, cps)
 
-    def evaluate(m: int) -> CheckpointResult:
+    def evaluate(m: int, scaled_phi: int) -> CheckpointResult:
         value = normality_fast(digits.prefix(m)).value
-        phi = Fraction(env[m - 1], 1 << w)
+        phi = Fraction(scaled_phi, 1 << w)
         margin = phi - value.as_fraction()
         return CheckpointResult(
             n=m, normality=value, phi=phi, margin=margin, passed=margin >= 0
         )
 
-    results = tuple(evaluate(m) for m in cps)
+    results = tuple(evaluate(m, e) for m, e in zip(cps, env))
     return VerificationReport(
         stream_label=stream.label,
         window_bits=w,

@@ -236,6 +236,37 @@ def test_limits_checked_before_generating(cap, monkeypatch, argv, message):
     assert err.splitlines() == [f"error: {message}"]
 
 
+@pytest.mark.parametrize(
+    "argv,seed",
+    [
+        (["generate", "--gen", "random:-1", "--n", "8"], -1),
+        (["generate", "--gen", f"random:{1 << 64}", "--n", "8"], 1 << 64),
+        (["scan", "--n", "64", "--samples", "2", "--seed", "-1"], -1),
+    ],
+    ids=["random-minus-1", "random-2-64", "scan-minus-1"],
+)
+def test_seed_outside_64_bits_refused(cap, argv, seed):
+    code, out, err = cap(argv)
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [f"error: seed {seed} outside [0, 2^64)"]
+
+
+def test_largest_seed_accepted(cap):
+    top = (1 << 64) - 1
+    code, out, err = cap(["generate", "--gen", f"random:{top}", "--n", "64"])
+    assert (code, err) == (0, "")
+    assert out == format(_splitmix64(top), "064b") + "\n"
+
+
+def _splitmix64(seed: int) -> int:
+    """The first splitmix64 output in Python ints, for the seed alone."""
+    mask = (1 << 64) - 1
+    z = (seed + 0x9E3779B97F4A7C15) & mask
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    return z ^ (z >> 31)
+
+
 class TestVerifyLemma:
     def test_pass_exit_0(self, cap):
         code, out, _ = cap(["verify-lemma", "--gen", "rational:1/3", "--n", "8", "--w", "16"])

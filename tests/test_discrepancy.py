@@ -19,6 +19,7 @@ from normbits.discrepancy import (
     prefix_deviation_numerators,
     prefix_discrepancies,
 )
+from normbits.orbit import default_checkpoints
 
 
 def random_dyadic_set(rng: random.Random, n: int, w: int) -> PointSet:
@@ -334,6 +335,37 @@ class TestPrefixDiscrepancies:
         assert extreme_discrepancy(pts).extreme == 1
 
 
+def running_max_at(nums, w: int, checkpoints) -> list[int]:
+    """The oracle: the all-prefix engine's running maximum, read at the
+    checkpoints."""
+    full = list(itertools.accumulate(prefix_deviation_numerators(nums, w), max))
+    return [full[m - 1] for m in checkpoints]
+
+
+@st.composite
+def envelope_cases(draw):
+    """(w, numerators, checkpoints) with duplicates, 0 and 2^w - 1 among
+    the points, and one of four checkpoint lists: [N], every m, a single
+    interior m, and the default powers of two."""
+    w = draw(st.sampled_from([1, 8, 31, 32, 33, 64]))
+    top = (1 << w) - 1
+    value = st.one_of(st.just(0), st.just(top), st.integers(0, top))
+    pool = draw(st.lists(value, min_size=1, max_size=4))
+    either = st.one_of(st.sampled_from(pool), value)
+    nums = draw(st.lists(either, min_size=1, max_size=80))
+    n = len(nums)
+    kind = draw(st.sampled_from(["last", "every", "interior", "powers"]))
+    if kind == "last":
+        cps = [n]
+    elif kind == "every":
+        cps = list(range(1, n + 1))
+    elif kind == "interior":
+        cps = [draw(st.integers(1, max(1, n - 1)))]
+    else:
+        cps = default_checkpoints(n)
+    return w, nums, cps
+
+
 class TestPhiEnvelope:
     def test_example(self):
         # Points 0, 0, 1/8, 3/8 (w = 3). 8*m*D_m: the closed interval onto
@@ -341,17 +373,60 @@ class TestPhiEnvelope:
         # [0, 1/8] and [0, 3/8] closed, give 8*(3 - 1/2) = 20. The envelope
         # keeps 21.
         assert prefix_deviation_numerators([0, 0, 1, 3], 3) == [8, 16, 21, 20]
-        assert phi_envelope([0, 0, 1, 3], 3) == [8, 16, 21, 21]
+        assert phi_envelope([0, 0, 1, 3], 3, checkpoints=range(1, 5)) == [8, 16, 21, 21]
 
     def test_constant_d(self):
         # All points at 0: D_m = 1, so Phi(m) = m.
-        assert phi_envelope(np.zeros(6, dtype=np.uint64), 5) == [
-            m << 5 for m in range(1, 7)
-        ]
+        assert phi_envelope(
+            np.zeros(6, dtype=np.uint64), 5, checkpoints=range(1, 7)
+        ) == [m << 5 for m in range(1, 7)]
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            phi_envelope([], 8)
+            phi_envelope([], 8, checkpoints=[1])
+
+    @pytest.mark.parametrize(
+        "checkpoints,message",
+        [
+            ([4, 2], "increase strictly"),
+            ([2, 2], "increase strictly"),
+            ([0, 3], r"lie in \[1, 6\]"),
+            ([3, 7], r"lie in \[1, 6\]"),
+            ([], "empty checkpoint list"),
+        ],
+        ids=["unsorted", "duplicate", "zero", "past-n", "empty"],
+    )
+    def test_bad_checkpoints_rejected(self, checkpoints, message):
+        with pytest.raises(ValueError, match=message):
+            phi_envelope([0, 1, 2, 3, 4, 5], 3, checkpoints)
+
+    @settings(max_examples=300, deadline=None)
+    @given(envelope_cases())
+    @example((64, [0, (1 << 64) - 1, 0, 1 << 63, (1 << 64) - 1] * 6, [30]))
+    @example((1, [0, 1] * 20 + [0] * 20, [60]))
+    def test_matches_engine_running_max(self, case):
+        w, nums, cps = case
+        nums = np.array(nums, dtype=np.uint64)
+        assert phi_envelope(nums, w, cps) == running_max_at(nums, w, cps)
+
+    @pytest.mark.parametrize("w", [31, 64])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_engine_at_scale(self, seed, w):
+        # 2^11 random points: long intervals where the bisection prunes.
+        rng = np.random.default_rng(seed)
+        nums = rng.integers(0, 1 << w, size=2048, dtype=np.uint64, endpoint=False)
+        for cps in ([2048], [1000], default_checkpoints(2048), range(1, 2049, 7)):
+            assert phi_envelope(nums, w, cps) == running_max_at(nums, w, cps)
+
+    @settings(max_examples=150, deadline=None)
+    @given(dyadic_lists())
+    @example(_DYADIC_EXAMPLES[4])
+    def test_engine_values_move_by_at_most_one_point(self, case):
+        # The search's pruning rests on |v(j+1) - v(j)| <= 2^w, with v(0) = 0.
+        w, nums = case
+        dnums = prefix_deviation_numerators(np.array(nums, dtype=np.uint64), w)
+        steps = [b - a for a, b in zip([0] + dnums, dnums)]
+        assert all(abs(d) <= 1 << w for d in steps)
 
 
 class TestPointsFile:

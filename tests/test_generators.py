@@ -97,6 +97,13 @@ class TestRandom:
         # First output for seed 0 of the published splitmix64 sequence.
         assert int(splitmix64_outputs(0, 1)[0]) == 0xE220A8397B1DCDAF
 
+    @pytest.mark.parametrize("seed", [-1, 1 << 64])
+    def test_seed_outside_64_bits_refused(self, seed):
+        with pytest.raises(ValueError, match=r"outside \[0, 2\^64\)$"):
+            splitmix64_outputs(seed, 0)
+        with pytest.raises(ValueError):
+            random_bits(seed, 1)
+
     def test_sample_seed_mixing(self):
         outs = splitmix64_outputs(7, 5)
         assert [sample_seed(7, i) for i in range(5)] == [int(v) for v in outs]

@@ -14,6 +14,9 @@ numerators near 2^64, a lattice whose extremes tie with the boundary
 t = 0, a lattice shifted by 2^-64 whose ties fall inside the high-limb
 filter's band, and points over 2^65, 2^70 and 2^100 whose extremes tie,
 which take the Python-int path instead of the uint64 kernel.
+`verify-lemma` also runs at 2^14 points, once with explicit checkpoints
+between the powers of two and once with the default ones at w = 31, where
+its envelope search prunes most prefixes.
 
 Commands run with tests/golden/ as the working directory, so the points
 paths recorded in each payload's config are relative.
@@ -37,6 +40,22 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 MEASURE_GENS = ("champernowne", "random:1", "rational:1/3", "rational:0/1")
 
 
+# verify-lemma at 2^14 points: explicit checkpoints that fall between the
+# powers of two (and the first three m), and the default powers of two on
+# a one-limb window.
+_SCALE_VERIFY = (
+    (
+        "verify-lemma_random2_n16384_checkpoints",
+        ["verify-lemma", "--gen", "random:2", "--n", "16384", "--w", "64"]
+        + ["--checkpoints", "1,2,3,1000,5000,8191,8192,12345,16384"],
+    ),
+    (
+        "verify-lemma_champernowne_n16384_w31",
+        ["verify-lemma", "--gen", "champernowne", "--n", "16384", "--w", "31"],
+    ),
+)
+
+
 def _tag(gen: str) -> str:
     return gen.replace(":", "").replace("/", "_")
 
@@ -51,6 +70,8 @@ def _cases() -> list[tuple[str, list[str]]]:
                     argv = [sub, "--gen", gen, "--n", str(n), "--w", str(w)]
                     argv += ["--format", fmt]
                     cases.append((f"{sub}_{_tag(gen)}_w{w}.{fmt}", argv))
+        for name, argv in _SCALE_VERIFY:
+            cases.append((f"{name}.{fmt}", argv + ["--format", fmt]))
         for points in (
             "points_narrow.txt",
             "points_wide.txt",

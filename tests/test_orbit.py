@@ -6,6 +6,7 @@ import pytest
 from normbits.bitcore import BitSequence, ExactValue, Pattern
 from normbits.discrepancy import (
     extreme_discrepancy_reference,
+    phi_envelope,
     prefix_deviation_numerators,
 )
 from normbits.generators import DigitStream, GeneratorSpec
@@ -165,6 +166,13 @@ class TestStructuredStreams:
         dnums = prefix_deviation_numerators(nums, w)
         for m, d in enumerate(self.reference(s, w), start=1):
             assert Fraction(dnums[m - 1], m << w) == d, m
+
+    @pytest.mark.parametrize("n", [64, 200])
+    def test_checkpoint_envelope_matches_engine(self, s, w, n):
+        nums, _ = orbit_points(s, n, w).dyadic_view()
+        full = list(itertools.accumulate(prefix_deviation_numerators(nums, w), max))
+        for cps in ([n], list(range(1, n + 1)), [n // 3], default_checkpoints(n)):
+            assert phi_envelope(nums, w, cps) == [full[m - 1] for m in cps]
 
     def test_envelope_matches_reference(self, s, w):
         rep = lemma1_verify(s, self.N, w, checkpoints=range(1, self.N + 1))
