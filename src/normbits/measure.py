@@ -8,18 +8,18 @@ provided:
 * :func:`normality_naive` walks every (k, X, M) triple by definition and is
   the testing oracle.
 * :func:`normality_fast` runs one pass per k. For fixed k the deviation at
-  step M is max(maxcount - M/2^k, M/2^k - mincount), and both extremes can
-  be read off the per-window occurrence ranks: the max side attains its
-  maximum only at steps where the arriving window sets a new count (so
-  max_M (2^k*maxcount - M) = max_i (2^k*occ_i - i)), and the min side is
-  piecewise linear between the steps where the rarest pattern catches up
-  (so it is maximized at the step just before each catch-up, recoverable
-  from the last position holding each occurrence rank). This turns the
-  per-k scan into a handful of vectorized passes. The ranks need the
-  windows in stable order by code; that order is carried from k-1 to k
-  by one O(N) radix pass, so no k sorts. When a k takes the lead,
-  the same pass reads the witness off the arrays it holds, so no k is
-  ranked twice.
+  step M is max(maxcount - M/2^k, M/2^k - mincount). The max side attains
+  its maximum only at steps where the arriving window sets a new count, so
+  max_M (2^k*maxcount - M) = max_i (2^k*occ_i - (i+1)) over the windows'
+  occurrence ranks; the min side is piecewise linear between the steps
+  where the rarest pattern catches up, so it peaks just before each
+  catch-up. The pass works entirely in the windows' stable order by code,
+  carried with the codes in that order from k-1 to k by one O(N) radix
+  pass, so no k sorts. In that order the ranks are positions within each
+  group of equal codes, so the max side is one segmented maximum and the
+  min side one gather at the group starts; nothing is scattered back to
+  window order. When a k takes the lead, the witness is read off the same
+  arrays.
 
 All deviations are carried as integers 2^k*T - M over the denominator 2^k;
 cross-k comparisons shift to a common denominator. No floats are involved
@@ -112,8 +112,8 @@ def _empty_report(n: int) -> NormalityReport:
 
 
 def check_measure_n(n: int) -> None:
-    """The measure's domain is N <= 2^30: window codes (< N) and occurrence
-    ranks are int32."""
+    """The measure's domain is N <= 2^30: window codes (< N) and indices are
+    int32, and p*2^k for a position p and k <= 30 fits in int64."""
     if n > MAX_MEASURE_N:
         raise ValueError(f"sequence length {n} exceeds the measure's limit 2^30")
 
@@ -186,99 +186,90 @@ def normality_naive(seq: BitSequence) -> NormalityReport:
 # -- single-pass evaluator ---------------------------------------------
 
 
-def _carry_order(order: np.ndarray, bits: np.ndarray) -> np.ndarray:
-    """The windows' stable order by code for k, from the order for k-1
-    (overwritten): code_k[i] = bits[i]*2^(k-1) + code_{k-1}[i+1], so drop
-    window 0, shift the rest down one index and partition stably by
-    bits[i], zeros first. One LSD radix pass.
+def _carry(
+    order: np.ndarray, sc: np.ndarray, code0: int, prev: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The windows' stable order by code for k, and their codes in that
+    order, from the pair for k-1: code_k[j-1] = bits[j-1]*2^(k-1) +
+    code_{k-1}[j], so drop window 0 (the first window holding its code
+    code0), partition the rest stably by prev[j] = bits[j-1], zeros first,
+    shift them down one index and set bit k-1 of the ones' codes. One LSD
+    radix pass.
     """
-    rest = order[order != 0]
-    rest -= 1
-    ones = bits.view(bool)[rest]
-    out = order[: rest.size]
-    zeros = rest.size - np.count_nonzero(ones)
-    np.compress(~ones, rest, out=out[:zeros])
-    np.compress(ones, rest, out=out[zeros:])
-    return out
-
-
-def _occurrence_ranks(codes: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """occ[i] = how many windows among the first i+1 equal the window at i,
-    given the stable order of the windows by code.
-
-    int32 throughout: the gathers and the scatter are memory-bound, and
-    the measure's domain (N <= 2^30) fits.
-    """
-    m = codes.shape[0]
-    sc = codes[order]
-    new = np.empty(m, dtype=bool)
-    new[0] = True
-    np.not_equal(sc[1:], sc[:-1], out=new[1:])
-    starts = np.flatnonzero(new).astype(np.int32)
-    gid = np.cumsum(new, dtype=np.int32)
-    gid -= 1
-    ranks = np.arange(1, m + 1, dtype=np.int32)
-    ranks -= starts[gid]
-    occ = np.empty(m, dtype=np.int32)
-    occ[order] = ranks
-    return occ
-
-
-def _min_side_profile(occ: np.ndarray, k: int) -> np.ndarray:
-    """ends[v] = last step at which the minimum pattern count is v, for v up
-    to the final minimum count (whose end is the last step m). The minimum
-    reaches v+1 once all 2^k patterns have occurred v+1 times, so ends[v]
-    is one step before the last window of occurrence rank v+1 arrives.
-    """
-    m = occ.shape[0]
-    counts = np.bincount(occ)  # counts[v] = #patterns occurring >= v times
-    stop = np.flatnonzero(counts[1:] != 1 << k)
-    levels = int(stop[0]) if stop.size else counts.size - 1
-    ends = np.empty(levels + 1, dtype=np.int64)
-    if levels:
-        # Fancy assignment with duplicate indices keeps the last write, i.e.
-        # the largest step, per rank.
-        last = np.zeros(counts.size, dtype=np.int32)
-        last[occ] = np.arange(1, m + 1, dtype=np.int32)
-        ends[:levels] = last[1 : levels + 1] - 1
-    ends[levels] = m
-    return ends
+    ones = np.take(prev, order)  # window 0 reads the pad, a zero
+    zeros = ~ones
+    zeros[np.searchsorted(sc, np.int32(code0))] = False  # int32: no cast of sc
+    split = np.count_nonzero(zeros)
+    size = order.size - 1
+    new_order = np.empty(size, dtype=np.int32)
+    new_sc = np.empty(size, dtype=np.int32)
+    for part, sel in ((slice(split), zeros), (slice(split, size), ones)):
+        idx = np.flatnonzero(sel)
+        np.take(order, idx, out=new_order[part])
+        np.take(sc, idx, out=new_sc[part])
+    new_order -= 1
+    new_sc[split:] |= 1 << (k - 1)
+    return new_order, new_sc
 
 
 def _scan_k(
-    codes: np.ndarray, order: np.ndarray, k: int, best: Optional[tuple[int, ...]]
+    order: np.ndarray, sc: np.ndarray, k: int, best: Optional[tuple[int, ...]]
 ) -> tuple[int, Optional[tuple[int, int, int]]]:
     """This k's maximum scaled deviation max_{X,M} |2^k*T(M,X) - M| and, if
-    it beats `best` = (num, k, ...), the smallest (pattern, M, T) attaining it.
+    it beats `best` = (num, k, ...), the smallest (pattern, M, T) attaining
+    it, from the windows' stable order by code and the codes in that order.
 
-    The high side peaks where a window arrives (step i+1), the low side at
-    ends[v]. Below the final level only the pattern arriving next,
-    codes[ends[v]], has count v there; at the final level, all with count v.
+    Position p of group g (the windows with one code, from starts[g]) holds
+    window i = order[p] with occurrence rank p - starts[g] + 1. The high
+    side peaks where a window arrives (step i+1) at 2^k*rank - (i+1), so
+    group g's peak is max_p (p*2^k - order[p]) - starts[g]*2^k + 2^k - 1.
+    The minimum count reaches v+1 when the last pattern occurs for the
+    (v+1)-th time, so if all 2^k patterns occur, the low side peaks at
+    ends[v] = max_g order[starts[g] + v], the last step with minimum count
+    v, for v below the smallest group size; the final level ends at m.
     """
-    m = codes.shape[0]
-    occ = _occurrence_ranks(codes, order)
-    dev = occ.astype(np.int64)
-    dev <<= k
-    dev -= np.arange(1, m + 1, dtype=np.int64)
-    ends = _min_side_profile(occ, k)
-    levels = ends.size - 1
+    m = sc.shape[0]
+    new = np.empty(m, dtype=bool)
+    new[0] = True
+    np.not_equal(sc[1:], sc[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
+    levels = 0
+    if starts.size == 1 << k:
+        sizes = np.diff(starts, append=m)
+        levels = int(sizes.min())
+    ends = np.empty(levels + 1, dtype=np.int64)
+    ends[levels] = m
+    if levels:
+        ends[:levels] = np.take(order, starts[:, None] + np.arange(levels)).max(axis=0)
     low = ends - (np.arange(levels + 1, dtype=np.int64) << k)
-    num = max(int(dev.max()), int(low.max()))
+    q = np.arange(0, m << k, 1 << k, dtype=np.int64)
+    q -= order
+    peaks = np.maximum.reduceat(q, starts)
+    del q  # the witness rebuilds its group's slice
+    peaks -= starts << k
+    high = int(peaks.max()) + (1 << k) - 1
+    num = max(high, int(low.max()))
     if best is not None and not _better(num, k, best[0], best[1]):
         return num, None
     cands: list[tuple[int, int, int]] = []
-    hits = np.flatnonzero(dev == num)
-    if hits.size:
-        i = int(hits[np.argmin(codes[hits])])  # first of the smallest pattern
-        cands.append((int(codes[i]), i + 1, int(occ[i])))
-    lows = np.flatnonzero(low[:levels] == num)
-    if lows.size:
-        j = int(np.argmin(codes[ends[lows]]))
-        step = int(ends[lows[j]])
-        cands.append((int(codes[step]), step, int(lows[j])))
+    if high == num:
+        g = int(np.argmax(peaks == num - (1 << k) + 1))
+        s = int(starts[g])
+        group = order[s : int(starts[g + 1]) if g + 1 < starts.size else m]
+        ranks = np.arange(1, group.size + 1, dtype=np.int64)
+        p = int(np.argmax((ranks << k) - group == num + 1))
+        cands.append((int(sc[s]), int(group[p]) + 1, p + 1))
+    for v in np.flatnonzero(low[:levels] == num):
+        s = int(starts[np.argmax(np.take(order, starts + v))])
+        cands.append((int(sc[s]), int(ends[v]), int(v)))
     if low[levels] == num:
-        final = np.bincount(codes, minlength=1 << k)
-        cands.append((int(np.flatnonzero(final == levels)[0]), m, levels))
+        if levels:
+            x = int(sc[starts[np.argmax(sizes == levels)]])
+        else:
+            codes = sc[starts]
+            gaps = np.flatnonzero(codes != np.arange(codes.size))
+            x = int(gaps[0]) if gaps.size else codes.size
+        cands.append((x, m, levels))
     return num, min(cands)
 
 
@@ -292,13 +283,15 @@ def normality_fast(seq: BitSequence) -> NormalityReport:
     bits = seq.to_numpy()
     per_k: list[tuple[int, ExactValue]] = []
     best: Optional[tuple[int, int, int, int, int]] = None  # num, k, x, m, t
-    codes = bits.astype(np.int32)
-    order = np.arange(n + 1, dtype=np.int32)  # the n+1 empty windows (k = 0)
+    # the n+1 empty windows (k = 0), all with code 0
+    order = np.arange(n + 1, dtype=np.int32)
+    sc = np.zeros(n + 1, dtype=np.int32)
+    code0 = 0  # the code of window 0
+    prev = np.concatenate((np.zeros(1, bits.dtype), bits)).view(bool)  # bits[j-1]
     for k in range(1, klim + 1):
-        if k > 1:
-            codes = _extend_codes(codes, bits, k)
-        order = _carry_order(order, bits)
-        num, found = _scan_k(codes, order, k, best)
+        order, sc = _carry(order, sc, code0, prev, k)
+        code0 = (code0 << 1) | int(bits[k - 1])
+        num, found = _scan_k(order, sc, k, best)
         per_k.append((k, ExactValue(num, k)))
         if found is not None:
             best = (num, k, *found)

@@ -30,12 +30,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitcore import BitSequence, ExactValue
-from .generators import RANDOM_ALGORITHM, random_bits, sample_seed
+from .generators import RANDOM_ALGORITHM, random_bits, splitmix64_outputs
 from .measure import check_measure_n, max_block_length, normality_fast
 
 __all__ = ["SearchResult", "ScanStats", "exhaustive_min", "typical_scan"]
 
 MAX_SEARCH_N = 51
+MAX_SCAN_SAMPLES = 1 << 24
 
 QUANTILE_KEYS = ("min", "p05", "p25", "median", "p75", "p95", "max")
 _QUANTILE_LEVELS = (0.0, 0.05, 0.25, 0.5, 0.75, 0.95, 1.0)
@@ -234,18 +235,19 @@ def typical_scan(n: int, samples: int, seed: int) -> ScanStats:
     """Quantiles of measure/sqrt(n) over seeded random sequences.
 
     Sample i draws its bits from the documented PRNG under the derived
-    seed sample_seed(seed, i), so the scan is reproducible from
-    (n, samples, seed) alone. Quantiles use numpy's linear interpolation.
+    seed sample_seed(seed, i), output i of splitmix64 under `seed`, so the
+    scan is reproducible from (n, samples, seed) alone. Quantiles use
+    numpy's linear interpolation.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    if not 1 <= samples <= MAX_SCAN_SAMPLES:
+        raise ValueError(f"samples={samples} outside [1, 2^24]")
     if n < 1:
         raise ValueError("n must be >= 1")
     check_measure_n(n)
     root = math.sqrt(n)
     ratios = np.empty(samples, dtype=np.float64)
-    for i in range(samples):
-        seq = random_bits(sample_seed(seed, i), n)
+    for i, sample in enumerate(splitmix64_outputs(seed, samples)):
+        seq = random_bits(int(sample), n)
         ratios[i] = float(normality_fast(seq).value) / root
     qs = np.quantile(ratios, _QUANTILE_LEVELS)
     return ScanStats(

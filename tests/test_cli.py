@@ -236,6 +236,17 @@ def test_limits_checked_before_generating(cap, monkeypatch, argv, message):
     assert err.splitlines() == [f"error: {message}"]
 
 
+def test_scan_samples_limit(cap, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("seeds drawn")
+
+    monkeypatch.setattr(search, "splitmix64_outputs", fail)
+    samples = str((1 << 24) + 1)
+    code, out, err = cap(["scan", "--n", "16", "--samples", samples, "--seed", "1"])
+    assert (code, out) == (2, "")
+    assert err.splitlines() == ["error: samples=16777217 outside [1, 2^24]"]
+
+
 @pytest.mark.parametrize(
     "argv,seed",
     [

@@ -131,6 +131,15 @@ class TestOracleEquivalence:
         assert reports_equal(normality_naive(seq), normality_fast(seq))
 
 
+def window_codes(bits: np.ndarray, k: int) -> np.ndarray:
+    """codes[i] = the k bits from position i read as a binary number."""
+    m = bits.size + 1 - k
+    codes = np.zeros(m, dtype=np.int64)
+    for j in range(k):
+        codes = (codes << 1) | bits[j : j + m]
+    return codes
+
+
 @pytest.mark.parametrize(
     "spec,n",
     [("0", 300), ("1", 300), ("rational:1/3", 500), ("rational:1/7", 777),
@@ -140,20 +149,57 @@ class TestOracleEquivalence:
 def test_carried_order_is_stable_sort(spec, n, monkeypatch):
     # n = 2^k - 1 is the last length before a new k; at n = 1024 and 4097
     # the 2^k patterns of the top k outnumber its windows.
-    seen = []  # copies: the order's buffer is reused from k to k
-    ranks = measure._occurrence_ranks
+    seen = []
+    scan = measure._scan_k
 
-    def spy(codes, order):
-        seen.append((codes.copy(), order.copy()))
-        return ranks(codes, order)
+    def spy(order, sc, k, best):
+        seen.append((k, order.copy(), sc.copy()))
+        return scan(order, sc, k, best)
 
-    monkeypatch.setattr(measure, "_occurrence_ranks", spy)
-    normality_fast(sequence(spec, n))
-    assert len(seen) == max_block_length(n)
-    for k, (codes, order) in enumerate(seen, 1):
-        assert codes.size == n + 1 - k
-        assert order.dtype == np.int32
+    monkeypatch.setattr(measure, "_scan_k", spy)
+    seq = sequence(spec, n)
+    normality_fast(seq)
+    bits = seq.to_numpy().astype(np.int64)
+    assert [k for k, _, _ in seen] == list(range(1, max_block_length(n) + 1))
+    for k, order, sc in seen:
+        codes = window_codes(bits, k)
+        assert order.dtype == sc.dtype == np.int32
         np.testing.assert_array_equal(order, np.argsort(codes, kind="stable"))
+        np.testing.assert_array_equal(sc, codes[order])
+
+
+def witness_branch(seq: BitSequence, rep) -> str:
+    """Which extreme the witness (k, X, M, T) sits at: a count above M/2^k
+    (the high side), or below it before the last step (the low side) or at
+    the last step, with every pattern of length k present or not."""
+    k, m = rep.witness_k, len(seq) + 1 - rep.witness_k
+    if rep.witness_t << k > rep.witness_m:
+        return "high"
+    if rep.witness_m < m:
+        return "low"
+    present = all(count_occurrences(seq, m, Pattern(k, x)) for x in range(1 << k))
+    return "final, all present" if present else "final, one missing"
+
+
+@pytest.mark.parametrize(
+    "bits,branch,witness",
+    [("011100001100", "high", (2, "00", 7, 3)),
+     ("01011001100", "low", (2, "00", 5, 0)),
+     ("0110001110100100111100", "final, all present", (3, "000", 20, 1)),
+     ("01010110", "final, one missing", (2, "00", 7, 0))],
+)
+def test_witness_branches(bits, branch, witness):
+    # One sequence per place the witness can be read from, each with k >= 2
+    # and a tie there that only the smallest-pattern-then-M rule breaks:
+    # taking the last tied group, position, level or missing pattern
+    # instead changes the report.
+    seq = parse_bits(bits)
+    rep = normality_fast(seq)
+    k, pattern, m, t = witness
+    assert (rep.witness_k, rep.witness_pattern, rep.witness_m, rep.witness_t) == (
+        k, Pattern.from01(pattern), m, t)
+    assert witness_branch(seq, rep) == branch
+    assert reports_equal(rep, normality_naive(seq))
 
 
 class TestProperties:

@@ -2,7 +2,9 @@ import itertools
 
 import pytest
 
+from normbits import search
 from normbits.bitcore import BitSequence, ExactValue
+from normbits.generators import sample_seed
 from normbits.measure import normality_naive
 from normbits.search import exhaustive_min, typical_scan
 
@@ -123,6 +125,28 @@ class TestTypicalScan:
             typical_scan(16, 0, 1)
         with pytest.raises(ValueError):
             typical_scan(0, 4, 1)
+
+    @pytest.mark.parametrize("seed", [0, 7, (1 << 64) - 1])
+    def test_seeds_drawn_once_match_sample_seed(self, seed, monkeypatch):
+        seeds = []
+        draw = search.random_bits
+
+        def spy(sample, n):
+            seeds.append(sample)
+            return draw(sample, n)
+
+        monkeypatch.setattr(search, "random_bits", spy)
+        typical_scan(16, 500, seed)
+        assert seeds == [sample_seed(seed, i) for i in range(500)]
+
+    def test_samples_limit_checked_before_allocating(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("allocated")
+
+        monkeypatch.setattr(search, "splitmix64_outputs", fail)
+        monkeypatch.setattr(search.np, "empty", fail)
+        with pytest.raises(ValueError, match=r"samples=16777217 outside \[1, 2\^24\]"):
+            typical_scan(16, (1 << 24) + 1, 1)
 
     def test_json_shape(self):
         d = typical_scan(64, 3, 7).to_json_dict()
