@@ -31,6 +31,7 @@ from .measure import (
     count_occurrences,
     normality_fast,
     normality_naive,
+    normality_value,
 )
 from .orbit import (
     VerificationReport,
@@ -54,6 +55,7 @@ __all__ = [
     "count_occurrences",
     "normality_naive",
     "normality_fast",
+    "normality_value",
     "PointSet",
     "DiscrepancyReport",
     "extreme_discrepancy",

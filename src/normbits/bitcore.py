@@ -278,7 +278,7 @@ class BitSequence:
         return np.unpackbits(raw, count=self._n)
 
     def to01(self) -> str:
-        return "".join("1" if b else "0" for b in self.to_numpy())
+        return (self.to_numpy() + ord("0")).tobytes().decode("ascii")
 
     def prefix(self, m: int) -> "BitSequence":
         if not 0 <= m <= self._n:

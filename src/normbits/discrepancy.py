@@ -388,8 +388,9 @@ def phi_envelope(nums: np.ndarray, w: int, checkpoints: Sequence[int]) -> list[i
     scratch = np.empty(n, dtype=np.int64)
 
     def select(a, ah, keep):
-        ah = ah[keep]
-        return (a[keep] if w > 32 else ah), ah
+        idx = np.flatnonzero(keep)  # take is several times faster than a[keep]
+        ah = ah.take(idx)
+        return (a.take(idx) if w > 32 else ah), ah
 
     def v(a, ah) -> int:
         fmax, _, fmin, _ = _rank_extremes(a, ah, ranks, scratch, w)

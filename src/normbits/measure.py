@@ -2,7 +2,7 @@
 
 The measure is the maximum, over block lengths k with 2^k <= N, patterns X
 of length k, and window counts M <= N+1-k, of |T(E,M,X) - M/2^k|, where T
-counts the windows among the first M that equal X. Two evaluators are
+counts the windows among the first M that equal X. Three evaluators are
 provided:
 
 * :func:`normality_naive` walks every (k, X, M) triple by definition and is
@@ -20,6 +20,17 @@ provided:
   min side one gather at the group starts; nothing is scattered back to
   window order. When a k takes the lead, the witness is read off the same
   arrays.
+* :func:`normality_value` runs the same passes for the value alone and
+  stops before the pass for k once G <= B, where B is the best value over
+  the k's before it and G the largest group of equal codes among the
+  N+2-k windows of length k-1 (G = N+1 for k = 1). Proof: take j >= k, X
+  of length j and M <= N+1-j. Each window equal to X starts with one
+  equal to X's first k-1 bits, so T - M/2^j < T <= G; and M/2^j - T <=
+  (N+1-j)/2^j <= (N+1-k)/2^k, below the mean group size (N+2-k)/2^(k-1)
+  <= G. So no j >= k exceeds B, and a tie there changes neither the value
+  nor its smallest-k witness. The loop tests the implied, cheaper
+  (N+1-k)/2^k <= B first and only then reads G off k-1's group starts;
+  both tests are integer comparisons.
 
 All deviations are carried as integers 2^k*T - M over the denominator 2^k;
 cross-k comparisons shift to a common denominator. No floats are involved
@@ -35,7 +46,10 @@ import numpy as np
 
 from .bitcore import BitSequence, ExactValue, Pattern
 
-__all__ = ["NormalityReport", "count_occurrences", "normality_naive", "normality_fast"]
+__all__ = [
+    "NormalityReport", "count_occurrences", "normality_naive", "normality_fast",
+    "normality_value",
+]
 
 MAX_MEASURE_N = 1 << 30
 
@@ -214,10 +228,11 @@ def _carry(
 
 def _scan_k(
     order: np.ndarray, sc: np.ndarray, k: int, best: Optional[tuple[int, ...]]
-) -> tuple[int, Optional[tuple[int, int, int]]]:
-    """This k's maximum scaled deviation max_{X,M} |2^k*T(M,X) - M| and, if
-    it beats `best` = (num, k, ...), the smallest (pattern, M, T) attaining
-    it, from the windows' stable order by code and the codes in that order.
+) -> tuple[int, Optional[tuple[int, int, int]], np.ndarray]:
+    """This k's maximum scaled deviation max_{X,M} |2^k*T(M,X) - M|, if it
+    beats `best` = (num, k, ...) the smallest (pattern, M, T) attaining it
+    (never when best is None), and the start of each group of equal codes,
+    from the windows' stable order by code and the codes in that order.
 
     Position p of group g (the windows with one code, from starts[g]) holds
     window i = order[p] with occurrence rank p - starts[g] + 1. The high
@@ -249,8 +264,8 @@ def _scan_k(
     peaks -= starts << k
     high = int(peaks.max()) + (1 << k) - 1
     num = max(high, int(low.max()))
-    if best is not None and not _better(num, k, best[0], best[1]):
-        return num, None
+    if best is None or not _better(num, k, best[0], best[1]):
+        return num, None, starts
     cands: list[tuple[int, int, int]] = []
     if high == num:
         g = int(np.argmax(peaks == num - (1 << k) + 1))
@@ -270,28 +285,35 @@ def _scan_k(
             gaps = np.flatnonzero(codes != np.arange(codes.size))
             x = int(gaps[0]) if gaps.size else codes.size
         cands.append((x, m, levels))
-    return num, min(cands)
+    return num, min(cands), starts
+
+
+def _sorted_windows(seq: BitSequence):
+    """(k, the windows' stable order by code, their codes in that order) for
+    k = 1 .. floor(log2 N), each k's carry run only when k is asked for."""
+    n = len(seq)
+    bits = seq.to_numpy()
+    # the n+1 empty windows (k = 0), all with code 0
+    order = np.arange(n + 1, dtype=np.int32)
+    sc = np.zeros(n + 1, dtype=np.int32)
+    code0 = 0  # the code of window 0
+    prev = np.concatenate((np.zeros(1, bits.dtype), bits)).view(bool)  # bits[j-1]
+    for k in range(1, max_block_length(n) + 1):
+        order, sc = _carry(order, sc, code0, prev, k)
+        code0 = (code0 << 1) | int(bits[k - 1])
+        yield k, order, sc
 
 
 def normality_fast(seq: BitSequence) -> NormalityReport:
     """Single-pass-per-k evaluator; contract identical to normality_naive."""
     n = len(seq)
     check_measure_n(n)
-    klim = max_block_length(n)
-    if klim < 1:
+    if max_block_length(n) < 1:
         return _empty_report(n)
-    bits = seq.to_numpy()
     per_k: list[tuple[int, ExactValue]] = []
-    best: Optional[tuple[int, int, int, int, int]] = None  # num, k, x, m, t
-    # the n+1 empty windows (k = 0), all with code 0
-    order = np.arange(n + 1, dtype=np.int32)
-    sc = np.zeros(n + 1, dtype=np.int32)
-    code0 = 0  # the code of window 0
-    prev = np.concatenate((np.zeros(1, bits.dtype), bits)).view(bool)  # bits[j-1]
-    for k in range(1, klim + 1):
-        order, sc = _carry(order, sc, code0, prev, k)
-        code0 = (code0 << 1) | int(bits[k - 1])
-        num, found = _scan_k(order, sc, k, best)
+    best: tuple[int, ...] = (-1, 0)  # num, k, x, m, t; k = 1 beats it
+    for k, order, sc in _sorted_windows(seq):
+        num, found = _scan_k(order, sc, k, best)[:2]  # free starts before next carry
         per_k.append((k, ExactValue(num, k)))
         if found is not None:
             best = (num, k, *found)
@@ -305,3 +327,22 @@ def normality_fast(seq: BitSequence) -> NormalityReport:
         witness_t=t,
         per_k_max=tuple(per_k),
     )
+
+
+def normality_value(seq: BitSequence) -> ExactValue:
+    """normality_fast(seq).value, without the witness or the k's that
+    cannot beat the best (module docstring)."""
+    n = len(seq)
+    check_measure_n(n)
+    num = bk = 0  # the best value num/2^bk over the k's run so far
+    starts = np.zeros(1, dtype=np.int64)  # k = 0: one group of n+1 windows
+    windows = _sorted_windows(seq)
+    for k in range(1, max_block_length(n) + 1):
+        if (n + 1 - k) << bk <= num << k:  # implied by G <= B, and cheaper
+            if int(np.diff(starts, append=n + 2 - k).max()) << bk <= num:
+                break
+        _, order, sc = next(windows)
+        cand, _, starts = _scan_k(order, sc, k, None)
+        if _better(cand, k, num, bk):
+            num, bk = cand, k
+    return ExactValue(num, bk)

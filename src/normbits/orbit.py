@@ -29,7 +29,7 @@ import numpy as np
 from .bitcore import BitSequence, ExactValue, Pattern, frac_dict
 from .discrepancy import PointSet, check_prefix_n, phi_envelope
 from .generators import DigitStream, StreamExhausted
-from .measure import max_block_length, normality_fast
+from .measure import max_block_length, normality_value
 
 __all__ = [
     "CheckpointResult",
@@ -185,7 +185,7 @@ def lemma1_verify(
     env = phi_envelope(nums, w, cps)
 
     def evaluate(m: int, scaled_phi: int) -> CheckpointResult:
-        value = normality_fast(digits.prefix(m)).value
+        value = normality_value(digits.prefix(m))
         phi = Fraction(scaled_phi, 1 << w)
         margin = phi - value.as_fraction()
         return CheckpointResult(

@@ -31,7 +31,7 @@ import numpy as np
 
 from .bitcore import BitSequence, ExactValue
 from .generators import RANDOM_ALGORITHM, random_bits, splitmix64_outputs
-from .measure import check_measure_n, max_block_length, normality_fast
+from .measure import check_measure_n, max_block_length, normality_value
 
 __all__ = ["SearchResult", "ScanStats", "exhaustive_min", "typical_scan"]
 
@@ -248,7 +248,7 @@ def typical_scan(n: int, samples: int, seed: int) -> ScanStats:
     ratios = np.empty(samples, dtype=np.float64)
     for i, sample in enumerate(splitmix64_outputs(seed, samples)):
         seq = random_bits(int(sample), n)
-        ratios[i] = float(normality_fast(seq).value) / root
+        ratios[i] = float(normality_value(seq)) / root
     qs = np.quantile(ratios, _QUANTILE_LEVELS)
     return ScanStats(
         n=n,

@@ -73,6 +73,13 @@ class TestBitSequence:
         assert seq.complement().to01() == "1001010"
         assert seq.complement().complement() == seq
 
+    def test_to01_matches_per_bit_join(self):
+        rng = random.Random(11)
+        for n in [0] + [rng.randrange(101) for _ in range(200)]:
+            bits = [rng.randrange(2) for _ in range(n)]
+            expected = "".join("1" if b else "0" for b in bits)
+            assert BitSequence(bits).to01() == expected
+
     def test_rejects_non_binary(self):
         with pytest.raises(ValueError):
             BitSequence([0, 2])

@@ -248,6 +248,26 @@ def test_scan_samples_limit(cap, monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["discrepancy", "--w", "8"], "provide exactly one of --points, --gen"),
+        (["discrepancy", "--points", "p.txt", "--gen", "random:1", "--n", "8"],
+         "provide exactly one of --points, --gen"),
+        (["discrepancy", "--gen", "random:1", "--w", "8"], "--gen requires --n"),
+        (["measure", "--gen", "random:1"], "--gen requires --n"),
+        (["verify-lemma", "--gen", "random:1", "--n", "8", "--checkpoints", "1,x"],
+         "invalid checkpoint list '1,x'"),
+    ],
+    ids=["discrepancy-neither", "discrepancy-both", "discrepancy-no-n",
+         "measure-no-n", "verify-lemma-checkpoints"],
+)
+def test_source_and_checkpoint_validation(cap, argv, message):
+    code, out, err = cap(argv)
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.parametrize(
     "argv,seed",
     [
         (["generate", "--gen", "random:-1", "--n", "8"], -1),

@@ -4,7 +4,8 @@ tests/golden/.
 
 `measure` runs both evaluators on Champernowne, random:1, 1/3 and all
 zeros at N = 1000 and N = 4096 (where 2^12 patterns exceed the 4085
-windows of length 12). `search-min`, `scan` and `generate` have one
+windows of length 12). `scan` runs at N = 256 and at perfbench's
+N = 4096 with 200 samples. `search-min` and `generate` have one
 configuration each (four generators for `generate`).
 
 For `discrepancy` and `verify-lemma`, the corpus covers the window widths
@@ -89,8 +90,10 @@ def _cases() -> list[tuple[str, list[str]]]:
                     cases.append((f"measure_{_tag(gen)}_n{n}_{alg}.{fmt}", argv))
         argv = ["search-min", "--n", "2..12", "--format", fmt]
         cases.append((f"search-min_2-12.{fmt}", argv))
-        argv = ["scan", "--n", "256", "--samples", "20", "--seed", "1", "--format", fmt]
-        cases.append((f"scan_n256_s20_seed1.{fmt}", argv))
+        for n, samples in ((256, 20), (4096, 200)):
+            argv = ["scan", "--n", str(n), "--samples", str(samples), "--seed", "1"]
+            argv += ["--format", fmt]
+            cases.append((f"scan_n{n}_s{samples}_seed1.{fmt}", argv))
     for gen in MEASURE_GENS:
         argv = ["generate", "--gen", gen, "--n", "4096"]
         cases.append((f"generate_{_tag(gen)}.txt", argv))

@@ -13,6 +13,7 @@ from normbits.measure import (
     max_block_length,
     normality_fast,
     normality_naive,
+    normality_value,
 )
 
 bit_lists = st.lists(st.integers(0, 1), min_size=0, max_size=64)
@@ -168,6 +169,47 @@ def test_carried_order_is_stable_sort(spec, n, monkeypatch):
         np.testing.assert_array_equal(sc, codes[order])
 
 
+class TestValueOnly:
+    def test_exhaustive_small(self):
+        for n in range(0, 13):
+            for bits in itertools.product((0, 1), repeat=n):
+                seq = BitSequence(bits)
+                assert normality_value(seq) == normality_fast(seq).value, bits
+
+    @pytest.mark.parametrize("n", [4096, 1 << 16])
+    @pytest.mark.parametrize(
+        "spec", ["champernowne", "rational:1/3", "0", "1", "random:1"]
+    )
+    def test_long(self, spec, n):
+        seq = sequence(spec, n)
+        assert normality_value(seq) == normality_fast(seq).value
+
+    @staticmethod
+    def scanned(seq: BitSequence, monkeypatch) -> list[int]:
+        seen = []
+        scan = measure._scan_k
+
+        def spy(order, sc, k, best):
+            seen.append(k)
+            return scan(order, sc, k, best)
+
+        monkeypatch.setattr(measure, "_scan_k", spy)
+        normality_value(seq)
+        return seen
+
+    def test_stops_early(self, monkeypatch):
+        ks = self.scanned(sequence("random:1", 4096), monkeypatch)
+        assert ks == list(range(1, len(ks) + 1))
+        assert len(ks) < 12
+
+    def test_runs_every_k_up_to_the_maximum(self, monkeypatch):
+        # all zeros of length 8191 peak at the top k, so no k can be
+        # skipped (at 4096 they peak at k = 11)
+        seq = sequence("0", 8191)
+        assert normality_fast(seq).witness_k == 12
+        assert self.scanned(seq, monkeypatch) == list(range(1, 13))
+
+
 def witness_branch(seq: BitSequence, rep) -> str:
     """Which extreme the witness (k, X, M, T) sits at: a count above M/2^k
     (the high side), or below it before the last step (the low side) or at
@@ -271,7 +313,9 @@ class TestReportSerialization:
         assert d["per_k"] == []
 
 
-@pytest.mark.parametrize("evaluate", [normality_fast, normality_naive])
+@pytest.mark.parametrize(
+    "evaluate", [normality_fast, normality_naive, normality_value]
+)
 def test_domain_limit(evaluate):
     # calloc-backed zeros: the check must come before the digits unpack
     seq = BitSequence._from_packed(bytes((1 << 27) + 1), (1 << 30) + 1)
