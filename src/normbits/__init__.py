@@ -3,10 +3,8 @@ the discrepancy of binary-shift orbits."""
 
 from .bitcore import (
     BitSequence,
-    DyadicInterval,
     ExactValue,
     Pattern,
-    format_bits_hex,
     parse_bits,
 )
 from .discrepancy import (
@@ -16,7 +14,6 @@ from .discrepancy import (
     extreme_discrepancy_reference,
     parse_points_file,
     phi_envelope,
-    prefix_discrepancies,
 )
 from .generators import (
     DigitStream,
@@ -46,11 +43,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BitSequence",
-    "DyadicInterval",
     "ExactValue",
     "Pattern",
     "parse_bits",
-    "format_bits_hex",
     "NormalityReport",
     "count_occurrences",
     "normality_naive",
@@ -60,7 +55,6 @@ __all__ = [
     "DiscrepancyReport",
     "extreme_discrepancy",
     "extreme_discrepancy_reference",
-    "prefix_discrepancies",
     "phi_envelope",
     "parse_points_file",
     "DigitStream",

@@ -1,10 +1,11 @@
-"""Core value types: packed bit sequences, fixed-length patterns, dyadic
-intervals, and exact rationals with power-of-two denominators.
+"""Core value types: packed bit sequences, fixed-length patterns, and exact
+rationals with power-of-two denominators.
 
 Conventions used throughout the package:
 
-* Bit 1 of a sequence (``e(1)``) is the first-emitted / most significant
-  digit, matching the positional binary expansion ``0.e1 e2 e3 ...``.
+* Digit e_1 of a sequence (``seq[0]``) is the first-emitted / most
+  significant digit, matching the positional binary expansion
+  ``0.e1 e2 e3 ...``.
 * A length-k pattern is encoded as the integer whose binary expansion,
   zero-padded to k digits, lists the pattern MSB-first.
 * All value comparisons are exact integer comparisons; no floats are ever
@@ -24,21 +25,19 @@ __all__ = [
     "ExactValue",
     "BitSequence",
     "Pattern",
-    "DyadicInterval",
     "parse_bits",
-    "format_bits_hex",
     "decimal_str",
     "frac_dict",
     "read_ascii",
 ]
 
 
-def decimal_str(num: int, den: int, sig: int = 17) -> str:
-    """Decimal rendering of num/den rounded to `sig` significant digits."""
+def decimal_str(num: int, den: int) -> str:
+    """Decimal rendering of num/den rounded to 17 significant digits."""
     if den <= 0:
         raise ValueError("denominator must be positive")
     with localcontext() as ctx:
-        ctx.prec = sig
+        ctx.prec = 17
         # Decimal(int) conversion is exact; only the division rounds.
         return str(Decimal(num) / Decimal(den))
 
@@ -66,9 +65,10 @@ class ExactValue:
     """A rational num / 2**log2_den, stored canonically.
 
     Canonical form keeps the numerator odd (or zero) whenever log2_den > 0,
-    so equality is structural. Arithmetic and comparisons shift both sides
-    to a common power-of-two denominator and compare integers, which is
-    exact for any magnitude (Python integers are unbounded).
+    so equality is structural. Comparisons (with another ExactValue, an
+    int or a Fraction) and the difference of two ExactValues shift both
+    sides to a common denominator and work on integers, which is exact
+    for any magnitude (Python integers are unbounded).
     """
 
     __slots__ = ("num", "log2_den")
@@ -105,10 +105,10 @@ class ExactValue:
     def __float__(self) -> float:
         return float(self.as_fraction())
 
-    def decimal(self, sig: int = 17) -> str:
-        return decimal_str(self.num, 1 << self.log2_den, sig)
+    def decimal(self) -> str:
+        return decimal_str(self.num, 1 << self.log2_den)
 
-    # -- arithmetic ----------------------------------------------------
+    # -- difference and comparisons ------------------------------------
 
     def _align(self, other: "ExactValue") -> tuple[int, int, int]:
         w = max(self.log2_den, other.log2_den)
@@ -118,53 +118,20 @@ class ExactValue:
             w,
         )
 
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = ExactValue(other)
-        if not isinstance(other, ExactValue):
-            return NotImplemented
-        a, b, w = self._align(other)
-        return ExactValue(a + b, w)
-
-    __radd__ = __add__
-
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = ExactValue(other)
         if not isinstance(other, ExactValue):
             return NotImplemented
         a, b, w = self._align(other)
         return ExactValue(a - b, w)
 
-    def __rsub__(self, other):
-        if isinstance(other, int):
-            return ExactValue(other) - self
-        return NotImplemented
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return ExactValue(self.num * other, self.log2_den)
-        if isinstance(other, ExactValue):
-            return ExactValue(self.num * other.num, self.log2_den + other.log2_den)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return ExactValue(-self.num, self.log2_den)
-
     def __abs__(self):
         return ExactValue(abs(self.num), self.log2_den)
-
-    # -- comparisons ---------------------------------------------------
 
     def _cmp_pair(self, other) -> Union[tuple[int, int], None]:
         if isinstance(other, ExactValue):
             a, b, _ = self._align(other)
             return a, b
-        if isinstance(other, int):
-            return self.num, other << self.log2_den
-        if isinstance(other, Fraction):
+        if isinstance(other, (int, Fraction)):
             return self.num * other.denominator, other.numerator << self.log2_den
         return None
 
@@ -212,8 +179,7 @@ class BitSequence:
     """Immutable finite binary sequence, bit-packed eight digits per byte.
 
     The first digit maps to the most significant bit of the first byte.
-    Positional access uses 1-based indexing via :meth:`e` (the natural
-    index for windows and prefixes); ``seq[i]`` is 0-based.
+    ``seq[i]`` is digit e_(i+1).
     """
 
     __slots__ = ("_packed", "_n")
@@ -254,13 +220,6 @@ class BitSequence:
 
     def __len__(self) -> int:
         return self._n
-
-    def e(self, n: int) -> int:
-        """Digit e_n for 1 <= n <= N; anything else is a contract violation."""
-        if not 1 <= n <= self._n:
-            raise IndexError(f"index {n} outside [1, {self._n}]")
-        i = n - 1
-        return (self._packed[i >> 3] >> (7 - (i & 7))) & 1
 
     def __getitem__(self, i: int) -> int:
         if not 0 <= i < self._n:
@@ -332,41 +291,6 @@ class Pattern:
         return format(self.value, f"0{self.k}b")
 
 
-@dataclass(frozen=True)
-class DyadicInterval:
-    """The half-open interval [numerator/2^level, (numerator+1)/2^level)."""
-
-    level: int
-    numerator: int
-
-    def __post_init__(self):
-        if self.level < 0:
-            raise ValueError("level must be >= 0")
-        if not 0 <= self.numerator < (1 << self.level):
-            raise ValueError(
-                f"numerator {self.numerator} outside [0, 2^{self.level})"
-            )
-
-    @property
-    def lower(self) -> ExactValue:
-        return ExactValue(self.numerator, self.level)
-
-    @property
-    def upper(self) -> ExactValue:
-        return ExactValue(self.numerator + 1, self.level)
-
-    def contains(self, p: Union[ExactValue, Fraction]) -> bool:
-        """Exact membership test for p in [0, 1)."""
-        if isinstance(p, ExactValue):
-            p = p.as_fraction()
-        if not isinstance(p, Fraction):
-            p = Fraction(p)
-        if not 0 <= p < 1:
-            raise ValueError(f"point {p} outside [0, 1)")
-        scaled = p * (1 << self.level)
-        return self.numerator <= scaled < self.numerator + 1
-
-
 def parse_bits(text: str) -> BitSequence:
     """Parse a bit string, either plain ASCII over {0,1} or "hex:<digits>/<length>".
 
@@ -399,13 +323,3 @@ def parse_bits(text: str) -> BitSequence:
         )
         return BitSequence.from_numpy(arr)
     return BitSequence.from01(text)
-
-
-def format_bits_hex(seq: BitSequence) -> str:
-    """Compact hex form "hex:<digits>/<length>"; round-trips through parse_bits."""
-    n = len(seq)
-    nibbles = (n + 3) // 4
-    if n == 0:
-        return "hex:/0"
-    value = int(seq.to01(), 2) << (4 * nibbles - n)
-    return f"hex:{value:0{nibbles}x}/{n}"

@@ -264,6 +264,7 @@ def run(argv: list[str]) -> int:
         return int(exc.code or 0)
     try:
         if args.subcommand == "generate":
+            check_measure_n(args.n)
             seq = GeneratorSpec.parse(args.gen).bits(args.n)
             text, code = seq.to01() + "\n", 0
         else:

@@ -57,7 +57,6 @@ __all__ = [
     "extreme_discrepancy",
     "extreme_discrepancy_reference",
     "prefix_deviation_numerators",
-    "prefix_discrepancies",
     "phi_envelope",
     "parse_points_file",
     "LEFT_LIMIT",
@@ -329,19 +328,6 @@ def prefix_deviation_numerators(nums: np.ndarray, w: int) -> list[int]:
         fmax, _, fmin, _ = _rank_extremes(a[: m + 1], ah[: m + 1], ranks, out, w)
         res.append(fmax - fmin + one)
     return res
-
-
-def prefix_discrepancies(points: PointSet) -> list[Fraction]:
-    """D_1, ..., D_N where D_M is the extreme discrepancy of the first M
-    points in arrival order. The points must be dyadic (w <= 64)."""
-    if points.size == 0:
-        raise ValueError("empty point set")
-    dy = points.dyadic_view()
-    if dy is None:
-        raise ValueError("prefix discrepancies need points over 2^w with w <= 64")
-    nums, w = dy
-    dnums = prefix_deviation_numerators(nums, w)
-    return [Fraction(d, m << w) for m, d in enumerate(dnums, start=1)]
 
 
 def phi_envelope(nums: np.ndarray, w: int, checkpoints: Sequence[int]) -> list[int]:

@@ -139,13 +139,7 @@ class DigitStream:
         self._produce = produce
 
     def prefix(self, n: int) -> BitSequence:
-        seq = self._produce(n)
-        if len(seq) != n:
-            raise StreamExhausted(f"{self.label}: stream exhausted before {n} digits")
-        return seq
-
-    def __repr__(self):
-        return f"DigitStream({self.label!r})"
+        return self._produce(n)
 
 
 @dataclass(frozen=True)

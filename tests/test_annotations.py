@@ -1,6 +1,7 @@
-"""Every annotation in the package resolves: the modules use postponed
-evaluation, so a name missing from a module's imports only shows up when
-the hints are read."""
+"""Every annotation and every export in the package resolves: the modules
+use postponed evaluation, so a name missing from a module's imports only
+shows up when the hints are read, and a stale `__all__` entry only when
+someone star-imports the module."""
 
 import importlib
 import inspect
@@ -35,3 +36,9 @@ def test_type_hints_resolve(name):
     assert functions
     for func in functions:
         typing.get_type_hints(func)
+
+
+@pytest.mark.parametrize("name", ["normbits"] + [f"normbits.{m}" for m in MODULES])
+def test_exports_resolve(name):
+    module = importlib.import_module(name)
+    assert [n for n in module.__all__ if not hasattr(module, n)] == []

@@ -1,18 +1,13 @@
 import random
+import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from normbits.bitcore import (
-    BitSequence,
-    DyadicInterval,
-    ExactValue,
-    Pattern,
-    format_bits_hex,
-    parse_bits,
-)
+from normbits.bitcore import BitSequence, ExactValue, Pattern, decimal_str, parse_bits
 
 
 class TestParseFormat:
@@ -52,20 +47,24 @@ class TestParseFormat:
     def test_round_trip(self, bits):
         seq = BitSequence(bits)
         assert parse_bits(seq.to01()) == seq
-        assert parse_bits(format_bits_hex(seq)) == seq
+        # MSB-first hex, zero-padded on the right to whole nibbles
+        n, nibbles = len(bits), (len(bits) + 3) // 4
+        value = int(seq.to01() or "0", 2) << (4 * nibbles - n)
+        assert parse_bits(f"hex:{value:0{nibbles}x}/{n}") == seq
 
 
 class TestBitSequence:
     def test_one_based_access(self):
+        # digit e_n of the expansion 0.e1 e2 ... is seq[n - 1]
         seq = parse_bits("0110")
-        assert [seq.e(i) for i in (1, 2, 3, 4)] == [0, 1, 1, 0]
+        assert [seq[n - 1] for n in (1, 2, 3, 4)] == [0, 1, 1, 0]
 
     def test_access_contract(self):
         seq = parse_bits("01")
         with pytest.raises(IndexError):
-            seq.e(0)
+            seq[-1]
         with pytest.raises(IndexError):
-            seq.e(3)
+            seq[2]
 
     def test_prefix_and_complement(self):
         seq = parse_bits("0110101")
@@ -90,42 +89,7 @@ class TestBitSequence:
             seq._n = 5
 
 
-class TestPatternInterval:
-    def test_101_interval(self):
-        x = Pattern.from01("101")
-        iv = DyadicInterval(x.k, x.value)
-        assert (iv.level, iv.numerator) == (3, 5)
-        assert iv.lower == ExactValue(5, 3)
-        assert iv.upper == ExactValue(6, 3)
-
-    def test_single_zero(self):
-        x = Pattern.from01("0")
-        iv = DyadicInterval(x.k, x.value)
-        assert (iv.level, iv.numerator) == (1, 0)
-
-    def test_all_ones_touches_one(self):
-        x = Pattern.from01("1111")
-        iv = DyadicInterval(x.k, x.value)
-        assert (iv.level, iv.numerator) == (4, 15)
-        assert iv.upper == ExactValue(1, 0)
-
-    def test_contains_truncated_point(self):
-        x = Pattern.from01("101")
-        iv = DyadicInterval(x.k, x.value)
-        assert iv.contains(ExactValue(85, 7))  # 0.1010101 binary
-
-    def test_half_open_endpoints(self):
-        iv = DyadicInterval(1, 0)  # [0, 1/2)
-        assert iv.contains(ExactValue(0))
-        assert not iv.contains(ExactValue(1, 1))
-
-    def test_point_domain(self):
-        iv = DyadicInterval(1, 0)
-        with pytest.raises(ValueError):
-            iv.contains(ExactValue(1))
-        with pytest.raises(ValueError):
-            iv.contains(ExactValue(-1, 3))
-
+class TestPattern:
     def test_pattern_validation(self):
         with pytest.raises(ValueError):
             Pattern(0, 0)
@@ -133,29 +97,6 @@ class TestPatternInterval:
             Pattern(2, 4)
         with pytest.raises(ValueError):
             Pattern(65, 0)
-
-    def test_containment_matches_leading_digits_exhaustive(self):
-        # For every k <= 8 and every pattern: a point lies in the interval
-        # iff its first k digits equal the pattern.
-        rng = random.Random(1)
-        for k in range(1, 9):
-            for value in range(1 << k):
-                iv = DyadicInterval(k, value)
-                for _ in range(3):
-                    w = rng.randint(k, k + 12)
-                    num = rng.randrange(1 << w)
-                    p = ExactValue(num, w)
-                    assert iv.contains(p) == ((num >> (w - k)) == value)
-
-    def test_intervals_partition_unit(self):
-        # Exactly one level-k interval contains any given point, k <= 10.
-        rng = random.Random(2)
-        for k in range(1, 11):
-            intervals = [DyadicInterval(k, v) for v in range(1 << k)]
-            assert len({iv.numerator for iv in intervals}) == 1 << k
-            for _ in range(5):
-                p = Fraction(rng.randrange(10**6), 10**6)
-                assert sum(iv.contains(p) for iv in intervals) == 1
 
 
 class TestExactValue:
@@ -166,10 +107,11 @@ class TestExactValue:
         assert str(ExactValue(21, 2)) == "21/2^2"
 
     def test_arithmetic(self):
-        assert ExactValue(1, 1) + ExactValue(1, 2) == ExactValue(3, 2)
-        assert ExactValue(1, 1) - 1 == ExactValue(-1, 1)
-        assert ExactValue(3, 2) * 4 == ExactValue(3, 0)
+        assert ExactValue(1, 1) - ExactValue(1, 2) == ExactValue(1, 2)
+        assert ExactValue(1, 2) - ExactValue(3, 0) == ExactValue(-11, 2)
+        assert ExactValue(3, 2) - ExactValue(6, 3) == 0
         assert abs(ExactValue(-5, 3)) == ExactValue(5, 3)
+        assert abs(ExactValue(1, 1) - ExactValue(3, 1)) == 1
 
     def test_decimal(self):
         assert ExactValue(21, 2).decimal() == "5.25"
@@ -194,3 +136,48 @@ class TestExactValue:
         assert (x == y) == (fx == fy)
         assert (x >= y) == (fx >= fy)
         assert (x <= fy) == (fx <= fy)
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        pytest.param(lambda: decimal_str(1, 0), "denominator must be positive",
+                     id="decimal_str-den"),
+        pytest.param(lambda: ExactValue(1, -1), "log2_den must be >= 0",
+                     id="ExactValue-log2_den"),
+        pytest.param(lambda: ExactValue.from_fraction(Fraction(1, 3)),
+                     "1/3 does not have a power-of-two denominator",
+                     id="from_fraction"),
+        pytest.param(lambda: BitSequence([0, 2]), "bits must be 0 or 1",
+                     id="BitSequence"),
+        pytest.param(lambda: BitSequence.from_numpy(np.array([1, 2])),
+                     "bits must be 0 or 1", id="from_numpy"),
+        pytest.param(lambda: BitSequence.from01("0a1"),
+                     "invalid binary digit(s): ['a']", id="from01"),
+        pytest.param(lambda: parse_bits("01").prefix(3),
+                     "prefix length 3 outside [0, 2]", id="prefix-long"),
+        pytest.param(lambda: parse_bits("01").prefix(-1),
+                     "prefix length -1 outside [0, 2]", id="prefix-negative"),
+        pytest.param(lambda: Pattern(65, 0), "pattern length 65 outside [1, 64]",
+                     id="Pattern-k"),
+        pytest.param(lambda: Pattern(2, 4), "pattern value 4 outside [0, 2^2)",
+                     id="Pattern-value"),
+        pytest.param(lambda: Pattern.from01(""), "invalid pattern string ''",
+                     id="Pattern-empty"),
+        pytest.param(lambda: Pattern.from01("012"), "invalid pattern string '012'",
+                     id="Pattern-digit"),
+        pytest.param(lambda: parse_bits("hex:b"),
+                     "hex form must be hex:<digits>/<length>", id="hex-no-length"),
+        pytest.param(lambda: parse_bits("hex:b/x"), "invalid bit length 'x'",
+                     id="hex-length-text"),
+        pytest.param(lambda: parse_bits("hex:b/-1"), "bit length must be >= 0",
+                     id="hex-length-negative"),
+        pytest.param(lambda: parse_bits("hex:b/5"),
+                     "bit length 5 exceeds the 4 bits available", id="hex-length-long"),
+        pytest.param(lambda: parse_bits("hex:zz/4"), "invalid hex digits 'zz'",
+                     id="hex-digits"),
+    ],
+)
+def test_argument_checks(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

@@ -222,8 +222,10 @@ def test_search_range_checked_before_searching(cap, monkeypatch, text, bad):
          "prefix engine supports fewer than 2^26 points"),
         (["discrepancy", "--gen", "random:1", "--n", str(1 << 31), "--w", "64"],
          "discrepancy supports fewer than 2^31 points"),
+        (["generate", "--gen", "random:1", "--n", str((1 << 30) + 1)],
+         "sequence length 1073741825 exceeds the measure's limit 2^30"),
     ],
-    ids=["measure", "scan", "verify-lemma", "discrepancy"],
+    ids=["measure", "scan", "verify-lemma", "discrepancy", "generate"],
 )
 def test_limits_checked_before_generating(cap, monkeypatch, argv, message):
     def fail(*args, **kwargs):
@@ -234,6 +236,92 @@ def test_limits_checked_before_generating(cap, monkeypatch, argv, message):
     code, out, err = cap(argv)
     assert (code, out) == (2, "")
     assert err.splitlines() == [f"error: {message}"]
+
+
+# Each argv is malformed; "{dir}" is a directory and "{missing}" a missing
+# file. Argparse refuses the first list with its usage text; run() refuses
+# the second.
+_ARGPARSE_REFUSES = [
+    ["measure", "--gen", "random:1", "--n", "x"],
+    ["measure", "--bits", "01", "--format", "xml"],
+    ["measure", "--bits", "01", "--algorithm", "slow"],
+    ["search-min", "--n", "3", "--cap", "x"],
+    ["scan", "--n", "x", "--samples", "1", "--seed", "1"],
+    ["scan", "--n", "8", "--samples", "1"],
+    ["generate", "--gen", "champernowne"],
+]
+_RUN_REFUSES = [
+    ["measure", "--gen", "bogus", "--n", "8"],
+    ["measure", "--gen", "champernowne:1", "--n", "8"],
+    ["measure", "--gen", "rational:1/0", "--n", "8"],
+    ["measure", "--gen", "rational:3/2", "--n", "8"],
+    ["measure", "--gen", "random:", "--n", "8"],
+    ["measure", "--gen", "file:", "--n", "8"],
+    ["measure", "--gen", "file:{missing}", "--n", "8"],
+    ["measure", "--gen", "file:{dir}", "--n", "8"],
+    ["measure", "--input", "{dir}"],
+    ["measure", "--gen", "random:1", "--n", "-1"],
+    ["measure", "--bits", "012"],
+    ["measure", "--bits", "hex:zz/4"],
+    ["measure", "--bits", "hex:1/9"],
+    ["measure", "--bits", "01", "--output", "{dir}"],
+    ["measure", "--bits", "01", "--output", "{dir}/no/out.json"],
+    ["discrepancy", "--gen", "bogus", "--n", "8"],
+    ["discrepancy", "--gen", "rational:1/0", "--n", "8"],
+    ["discrepancy", "--gen", "random:1", "--n", "-1"],
+    ["discrepancy", "--gen", "random:1", "--n", "0"],
+    ["discrepancy", "--gen", "random:1", "--n", "8", "--w", "0"],
+    ["discrepancy", "--gen", "random:1", "--n", "8", "--w", "65"],
+    ["discrepancy", "--gen", "random:1", "--n", "8", "--w", "2"],
+    ["discrepancy", "--gen", "file:{dir}", "--n", "8", "--w", "8"],
+    ["discrepancy", "--points", "{dir}"],
+    ["verify-lemma", "--gen", "bogus", "--n", "8"],
+    ["verify-lemma", "--gen", "random:", "--n", "8"],
+    ["verify-lemma", "--gen", "file:{missing}", "--n", "8", "--w", "8"],
+    ["verify-lemma", "--gen", "random:1", "--n", "0"],
+    ["verify-lemma", "--gen", "random:1", "--n", "-5"],
+    ["verify-lemma", "--gen", "random:1", "--n", "8", "--w", "65"],
+    ["verify-lemma", "--gen", "random:1", "--n", "8", "--w", "0"],
+    ["verify-lemma", "--gen", "random:1", "--n", "8", "--checkpoints", "0"],
+    ["verify-lemma", "--gen", "random:1", "--n", "8", "--checkpoints", "9"],
+    ["verify-lemma", "--gen", "random:1", "--n", "8", "--checkpoints", ",,"],
+    ["verify-lemma", "--gen", "random:1", "--n", "8", "--checkpoints", "1..4"],
+    ["verify-lemma", "--gen", "random:1", "--n", "8", "--output", "{dir}"],
+    ["search-min", "--n", "0"],
+    ["search-min", "--n", "-3"],
+    ["search-min", "--n", "3..2"],
+    ["search-min", "--n", "1...3"],
+    ["search-min", "--n", "3", "--cap", "0"],
+    ["search-min", "--n", "3", "--output", "{dir}"],
+    ["scan", "--n", "0", "--samples", "1", "--seed", "1"],
+    ["scan", "--n", "-1", "--samples", "1", "--seed", "1"],
+    ["scan", "--n", "8", "--samples", "0", "--seed", "1"],
+    ["scan", "--n", "8", "--samples", "1", "--seed", str(1 << 64)],
+    ["generate", "--gen", "bogus", "--n", "8"],
+    ["generate", "--gen", "champernowne:1", "--n", "8"],
+    ["generate", "--gen", "rational:1/0", "--n", "8"],
+    ["generate", "--gen", "rational:3/2", "--n", "8"],
+    ["generate", "--gen", "random:", "--n", "8"],
+    ["generate", "--gen", "file:", "--n", "8"],
+    ["generate", "--gen", "file:{missing}", "--n", "8"],
+    ["generate", "--gen", "file:{dir}", "--n", "8"],
+    ["generate", "--gen", "random:1", "--n", "-1"],
+    ["generate", "--gen", "random:1", "--n", str(10**15)],
+    ["generate", "--gen", "rational:1/3", "--n", str(10**15)],
+    ["generate", "--gen", "champernowne", "--n", "8", "--output", "{dir}"],
+]
+
+
+@pytest.mark.parametrize("argv", _ARGPARSE_REFUSES + _RUN_REFUSES, ids=" ".join)
+def test_malformed_argv_exit_2(cap, tmp_path, argv):
+    missing = tmp_path / "missing.txt"
+    code, out, err = cap([a.format(dir=tmp_path, missing=missing) for a in argv])
+    assert (code, out) == (2, "")
+    assert "Traceback" not in err
+    if argv in _RUN_REFUSES:
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    else:
+        assert err.startswith("usage: normbits ")
 
 
 def test_scan_samples_limit(cap, monkeypatch):

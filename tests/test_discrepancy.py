@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -17,7 +18,6 @@ from normbits.discrepancy import (
     parse_points_file,
     phi_envelope,
     prefix_deviation_numerators,
-    prefix_discrepancies,
 )
 from normbits.orbit import default_checkpoints
 
@@ -206,30 +206,25 @@ class TestPrefixDiscrepancies:
     def test_thirds_orbit_prefixes(self):
         # single point: closing interval forces D_1 = 1; the pair at
         # {1/3, 2/3} gives D_2 = 2/3 via the closing interval [1/3, 2/3].
-        # The prefix engine takes dyadic points only, so thirds are refused.
         pts = PointSet([Fraction(1, 3), Fraction(2, 3), Fraction(1, 3)])
         assert extreme_discrepancy(pts.prefix(1)).extreme == 1
         assert extreme_discrepancy(pts.prefix(2)).extreme == Fraction(2, 3)
-        with pytest.raises(ValueError, match="2\\^w with w <= 64"):
-            prefix_discrepancies(pts)
 
     def test_refuses_points_past_limits(self):
-        wide = PointSet([Fraction(1, 1 << 65), Fraction(1, 2)])
-        with pytest.raises(ValueError, match="2\\^w with w <= 64"):
-            prefix_discrepancies(wide)
+        with pytest.raises(ValueError, match="^w=65 outside \\[0, 64\\]$"):
+            prefix_deviation_numerators(np.zeros(2, dtype=np.uint64), 65)
         # lazily zero-filled, so the 2^26 points cost no memory
-        many = PointSet.from_dyadic(np.zeros(1 << 26, dtype=np.uint64), 64)
+        many = np.zeros(1 << 26, dtype=np.uint64)
         with pytest.raises(ValueError, match="fewer than 2\\^26"):
-            prefix_discrepancies(many)
-        with pytest.raises(ValueError):
-            prefix_discrepancies(PointSet([]))
+            prefix_deviation_numerators(many, 64)
 
     def test_last_entry_matches_full_set(self):
         rng = random.Random(19)
         for _ in range(10):
             pts = random_dyadic_set(rng, rng.randint(1, 30), 6)
-            ds = prefix_discrepancies(pts)
-            assert ds[-1] == extreme_discrepancy(pts).extreme
+            nums, w = pts.dyadic_view()
+            last = prefix_deviation_numerators(nums, w)[-1]
+            assert Fraction(last, pts.size << w) == extreme_discrepancy(pts).extreme
 
     @pytest.mark.parametrize("w", [0, 1, 5, 31, 32, 47, 64])
     def test_fast_engine_matches_slow(self, w):
@@ -462,3 +457,47 @@ class TestPointsFile:
         assert (d["extreme_num"], d["extreme_den"]) == (1, 2)
         assert (d["star_num"], d["star_den"]) == (1, 4)
         assert d["witness"]["a_side"] in (LEFT_LIMIT, RIGHT_LIMIT)
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        pytest.param(lambda path: PointSet([Fraction(1)]), "point 1 outside [0, 1)",
+                     id="PointSet-point"),
+        pytest.param(lambda path: PointSet.from_dyadic([0], -1),
+                     "log2_den -1 outside [0, 64]", id="from_dyadic-negative-w"),
+        pytest.param(lambda path: PointSet.from_dyadic([0], 65),
+                     "log2_den 65 outside [0, 64]", id="from_dyadic-wide"),
+        pytest.param(lambda path: PointSet.from_dyadic([[0, 1]], 4),
+                     "numerators must be one-dimensional", id="from_dyadic-2d"),
+        pytest.param(lambda path: PointSet.from_dyadic([3, 16], 4),
+                     "numerator >= 2^4", id="from_dyadic-numerator"),
+        pytest.param(lambda path: PointSet.from_dyadic([3], 4).prefix(2),
+                     "prefix length 2 outside [0, 1]", id="prefix-long"),
+        pytest.param(lambda path: PointSet.from_dyadic([3], 4).prefix(-1),
+                     "prefix length -1 outside [0, 1]", id="prefix-negative"),
+        pytest.param(lambda path: prefix_deviation_numerators([0], -1),
+                     "w=-1 outside [0, 64]", id="prefix_engine-w"),
+        pytest.param(lambda path: phi_envelope([0], -1, [1]),
+                     "w=-1 outside [0, 64]", id="phi_envelope-negative-w"),
+        pytest.param(lambda path: phi_envelope([0], 65, [1]),
+                     "w=65 outside [0, 64]", id="phi_envelope-wide"),
+        pytest.param(lambda path: parse_points_file(_write(path, "1/2^3\nx/2^4\n")),
+                     "{path}:2: expected num/2^w, got 'x/2^4'", id="points-numerator"),
+        pytest.param(lambda path: parse_points_file(_write(path, "1/2^y\n")),
+                     "{path}:1: expected num/2^w, got '1/2^y'", id="points-exponent"),
+        pytest.param(lambda path: parse_points_file(_write(path, "1/2^-2\n")),
+                     "{path}:1: '1/2^-2' is not in [0, 1)", id="points-negative-w"),
+        pytest.param(lambda path: parse_points_file(_write(path, "-1/2^2\n")),
+                     "{path}:1: '-1/2^2' is not in [0, 1)", id="points-negative"),
+    ],
+)
+def test_argument_checks(tmp_path, call, message):
+    path = tmp_path / "points.txt"
+    with pytest.raises(ValueError, match=f"^{re.escape(message.format(path=path))}$"):
+        call(path)
+
+
+def _write(path, text: str) -> str:
+    path.write_text(text)
+    return str(path)

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -173,3 +174,30 @@ class TestFileAndSpec:
         stream = GeneratorSpec.parse("rational:1/3").stream()
         assert stream.prefix(6).to01() == "010101"
         assert stream.prefix(6) == stream.prefix(6)
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        pytest.param(lambda: GeneratorSpec(kind="bogus"),
+                     "unknown generator kind 'bogus'", id="kind"),
+        pytest.param(lambda: GeneratorSpec.parse("champernowne:1"),
+                     "champernowne takes no parameters", id="champernowne-param"),
+        pytest.param(lambda: GeneratorSpec.parse("bogus"),
+                     "unknown generator spec 'bogus'", id="spec"),
+        pytest.param(lambda: splitmix64_outputs(1, -1), "count must be >= 0",
+                     id="splitmix64-count"),
+        pytest.param(lambda: random_bits(1, -1), "n must be >= 0", id="random-n"),
+        pytest.param(lambda: champernowne_bits(-1), "n must be >= 0",
+                     id="champernowne-n"),
+        pytest.param(lambda: rational_bits(1, 3, -1), "n must be >= 0",
+                     id="rational-n"),
+        pytest.param(lambda: rational_bits(1, 0, 4), "q must be nonzero",
+                     id="rational-q"),
+        pytest.param(lambda: rational_bits(3, 2, 4), "require 0 <= p < q, got 3/2",
+                     id="rational-p"),
+    ],
+)
+def test_argument_checks(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

@@ -1,4 +1,5 @@
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -182,3 +183,47 @@ class TestStructuredStreams:
         scaled = (m * d for m, d in enumerate(self.reference(s, w), start=1))
         assert phis == list(itertools.accumulate(scaled, max))
         assert rep.overall_pass
+
+
+def _unread():
+    """A stream that fails if any digit is read."""
+
+    def fail(n):
+        raise AssertionError("digits read")
+
+    return DigitStream("unread", fail)
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        pytest.param(lambda: orbit_points(_unread(), -1, 8), "n must be >= 0",
+                     id="orbit_points-n"),
+        pytest.param(lambda: orbit_points(_unread(), 4, 0),
+                     "window bits w=0 outside [1, 64]", id="orbit_points-w"),
+        pytest.param(lambda: orbit_points(_unread(), 8, 3),
+                     "w=3 too small for n=8; need w >= 4", id="orbit_points-small-w"),
+        pytest.param(lambda: count_via_orbit(_unread(), 0, Pattern(1, 0), 8),
+                     "m must be >= 1", id="count_via_orbit-m"),
+        pytest.param(lambda: count_via_orbit(_unread(), 4, Pattern(1, 0), 65),
+                     "window bits w=65 outside [1, 64]", id="count_via_orbit-w"),
+        pytest.param(lambda: count_via_orbit(_unread(), 4, Pattern(4, 5), 3),
+                     "pattern length 4 exceeds window bits 3",
+                     id="count_via_orbit-k"),
+        pytest.param(lambda: lemma1_verify(_unread(), 0, 8), "n must be >= 1",
+                     id="lemma1_verify-n"),
+        pytest.param(lambda: lemma1_verify(_unread(), 8, 0),
+                     "window bits w=0 outside [1, 64]", id="lemma1_verify-w"),
+        pytest.param(lambda: lemma1_verify(_unread(), 1 << 26, 64),
+                     "prefix engine supports fewer than 2^26 points",
+                     id="lemma1_verify-limit"),
+        pytest.param(lambda: lemma1_verify(_unread(), 16, 16, checkpoints=[]),
+                     "empty checkpoint list", id="lemma1_verify-no-checkpoints"),
+        pytest.param(lambda: lemma1_verify(_unread(), 16, 16, checkpoints=[0, 4]),
+                     "checkpoints must lie in [1, 16]",
+                     id="lemma1_verify-checkpoint"),
+    ],
+)
+def test_argument_checks(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
