@@ -1,5 +1,5 @@
-"""Core value types: packed bit sequences, fixed-length patterns, and exact
-rationals with power-of-two denominators.
+"""Core value types: packed bit sequences, fixed-length patterns, and
+ExactValue, the Fraction subtype whose denominator is a power of two.
 
 Conventions used throughout the package:
 
@@ -8,8 +8,8 @@ Conventions used throughout the package:
   ``0.e1 e2 e3 ...``.
 * A length-k pattern is encoded as the integer whose binary expansion,
   zero-padded to k digits, lists the pattern MSB-first.
-* All value comparisons are exact integer comparisons; no floats are ever
-  used on a decision path.
+* All value comparisons are exact: Fraction compares rationals by integer
+  cross-multiplication, and no float is ever used on a decision path.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -61,36 +61,31 @@ def read_ascii(path: str) -> str:
         raise ValueError(f"{path}: non-ASCII byte 0x{byte:02x}") from None
 
 
-class ExactValue:
-    """A rational num / 2**log2_den, stored canonically.
+class ExactValue(Fraction):
+    """The rational num / 2**log2_den: a Fraction with a power-of-two denominator.
 
-    Canonical form keeps the numerator odd (or zero) whenever log2_den > 0,
-    so equality is structural. Comparisons (with another ExactValue, an
-    int or a Fraction) and the difference of two ExactValues shift both
-    sides to a common denominator and work on integers, which is exact
-    for any magnitude (Python integers are unbounded).
+    Fraction's lowest terms are the canonical form (the numerator is odd,
+    or zero, whenever log2_den > 0), and Fraction supplies the exact
+    comparisons, hashing and arithmetic; a difference or an abs() is a
+    plain Fraction. Fraction rebuilds a subclass as cls(numerator,
+    denominator), so copying and pickling are redefined here, and the
+    inherited from_float and from_decimal do not apply.
     """
 
-    __slots__ = ("num", "log2_den")
+    __slots__ = ()
 
-    def __init__(self, num: int, log2_den: int = 0):
+    def __new__(cls, num: int, log2_den: int = 0):
         if log2_den < 0:
             raise ValueError("log2_den must be >= 0")
-        num = int(num)
-        if num == 0:
-            log2_den = 0
-        elif log2_den > 0:
-            trailing = (num & -num).bit_length() - 1
-            shift = min(trailing, log2_den)
-            num >>= shift
-            log2_den -= shift
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "log2_den", log2_den)
+        return super().__new__(cls, int(num), 1 << log2_den)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("ExactValue is immutable")
+    @property
+    def num(self) -> int:
+        return self.numerator
 
-    # -- conversions ---------------------------------------------------
+    @property
+    def log2_den(self) -> int:
+        return self.denominator.bit_length() - 1
 
     @classmethod
     def from_fraction(cls, f: Fraction) -> "ExactValue":
@@ -100,79 +95,25 @@ class ExactValue:
         return cls(f.numerator, den.bit_length() - 1)
 
     def as_fraction(self) -> Fraction:
-        return Fraction(self.num, 1 << self.log2_den)
-
-    def __float__(self) -> float:
-        return float(self.as_fraction())
+        return Fraction(self)
 
     def decimal(self) -> str:
-        return decimal_str(self.num, 1 << self.log2_den)
+        return decimal_str(self.numerator, self.denominator)
 
-    # -- difference and comparisons ------------------------------------
-
-    def _align(self, other: "ExactValue") -> tuple[int, int, int]:
-        w = max(self.log2_den, other.log2_den)
-        return (
-            self.num << (w - self.log2_den),
-            other.num << (w - other.log2_den),
-            w,
-        )
-
-    def __sub__(self, other):
-        if not isinstance(other, ExactValue):
-            return NotImplemented
-        a, b, w = self._align(other)
-        return ExactValue(a - b, w)
-
-    def __abs__(self):
-        return ExactValue(abs(self.num), self.log2_den)
-
-    def _cmp_pair(self, other) -> Union[tuple[int, int], None]:
-        if isinstance(other, ExactValue):
-            a, b, _ = self._align(other)
-            return a, b
-        if isinstance(other, (int, Fraction)):
-            return self.num * other.denominator, other.numerator << self.log2_den
-        return None
-
-    def __eq__(self, other):
-        pair = self._cmp_pair(other)
-        if pair is None:
-            return NotImplemented
-        return pair[0] == pair[1]
-
-    def __lt__(self, other):
-        pair = self._cmp_pair(other)
-        if pair is None:
-            return NotImplemented
-        return pair[0] < pair[1]
-
-    def __le__(self, other):
-        pair = self._cmp_pair(other)
-        if pair is None:
-            return NotImplemented
-        return pair[0] <= pair[1]
-
-    def __gt__(self, other):
-        pair = self._cmp_pair(other)
-        if pair is None:
-            return NotImplemented
-        return pair[0] > pair[1]
-
-    def __ge__(self, other):
-        pair = self._cmp_pair(other)
-        if pair is None:
-            return NotImplemented
-        return pair[0] >= pair[1]
-
-    def __hash__(self):
-        return hash(self.as_fraction())
+    def __str__(self):
+        return f"{self.num}/2^{self.log2_den}"
 
     def __repr__(self):
         return f"ExactValue({self.num}, {self.log2_den})"
 
-    def __str__(self):
-        return f"{self.num}/2^{self.log2_den}"
+    def __reduce__(self):
+        return type(self), (self.num, self.log2_den)
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
 
 
 class BitSequence:
@@ -261,6 +202,9 @@ class BitSequence:
 
     def __hash__(self):
         return hash((self._n, self._packed))
+
+    def __reduce__(self):
+        return self._from_packed, (self._packed, self._n)
 
     def __repr__(self):
         if self._n <= 64:

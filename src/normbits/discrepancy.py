@@ -49,7 +49,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .bitcore import ExactValue, decimal_str, frac_dict, read_ascii
+from .bitcore import decimal_str, frac_dict, read_ascii
 
 __all__ = [
     "PointSet",
@@ -76,10 +76,10 @@ class PointSet:
     over the lcm of the points' denominators.
     """
 
-    def __init__(self, values: Iterable[Union[Fraction, ExactValue, int]]):
+    def __init__(self, values: Iterable[Union[Fraction, int]]):
         fracs = []
         for v in values:
-            f = v.as_fraction() if isinstance(v, ExactValue) else Fraction(v)
+            f = Fraction(v)
             if not 0 <= f < 1:
                 raise ValueError(f"point {f} outside [0, 1)")
             fracs.append(f)

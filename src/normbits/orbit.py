@@ -29,7 +29,7 @@ import numpy as np
 from .bitcore import BitSequence, ExactValue, Pattern, frac_dict
 from .discrepancy import PointSet, check_prefix_n, phi_envelope
 from .generators import DigitStream, StreamExhausted
-from .measure import max_block_length, normality_value
+from .measure import MAX_MEASURE_N, max_block_length, normality_value
 
 __all__ = [
     "CheckpointResult",
@@ -59,8 +59,13 @@ def _check_window(n: int, w: int) -> None:
 
 
 def _orbit_digits(stream: DigitStream, count: int, w: int) -> BitSequence:
-    """The count + w - 1 digits that count orbit points of w bits read."""
+    """The count + w - 1 <= 2^30 digits that count orbit points of w bits read."""
     need = count + w - 1
+    if need > MAX_MEASURE_N:
+        raise ValueError(
+            f"{count} orbit points of {w} bits need n + w - 1 = {need} digits,"
+            " more than the 2^30 digit limit"
+        )
     try:
         return stream.prefix(need)
     except StreamExhausted as exc:
@@ -187,7 +192,7 @@ def lemma1_verify(
     def evaluate(m: int, scaled_phi: int) -> CheckpointResult:
         value = normality_value(digits.prefix(m))
         phi = Fraction(scaled_phi, 1 << w)
-        margin = phi - value.as_fraction()
+        margin = phi - value
         return CheckpointResult(
             n=m, normality=value, phi=phi, margin=margin, passed=margin >= 0
         )

@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 import random
 import re
 from fractions import Fraction
@@ -8,6 +11,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from normbits.bitcore import BitSequence, ExactValue, Pattern, decimal_str, parse_bits
+from normbits.generators import GeneratorSpec
+from normbits.measure import normality_fast
+from normbits.orbit import lemma1_verify
+from normbits.search import exhaustive_min
 
 
 class TestParseFormat:
@@ -88,6 +95,16 @@ class TestBitSequence:
         with pytest.raises(AttributeError):
             seq._n = 5
 
+    def test_equality_and_hash(self):
+        assert parse_bits("0110") == BitSequence([0, 1, 1, 0])
+        assert hash(parse_bits("0110")) == hash(BitSequence([0, 1, 1, 0]))
+        assert parse_bits("0110") != parse_bits("011")
+        assert (parse_bits("01") == "01") is False
+
+    def test_repr(self):
+        assert repr(parse_bits("01" * 32)) == f"BitSequence({'01' * 32!r})"
+        assert repr(parse_bits("0" * 65)) == "BitSequence(<65 bits>)"
+
 
 class TestPattern:
     def test_pattern_validation(self):
@@ -105,6 +122,16 @@ class TestExactValue:
         assert ExactValue(6, 1).log2_den == 0
         assert ExactValue(0, 7) == ExactValue(0)
         assert str(ExactValue(21, 2)) == "21/2^2"
+        assert repr(ExactValue(12, 4)) == "ExactValue(3, 2)"
+
+    def test_hash_matches_fraction(self):
+        assert hash(ExactValue(12, 4)) == hash(Fraction(3, 4))
+        assert {ExactValue(3, 2), ExactValue(6, 3), Fraction(3, 4)} == {Fraction(3, 4)}
+
+    def test_foreign_operand(self):
+        assert (ExactValue(3, 2) == "x") is False
+        with pytest.raises(TypeError):
+            ExactValue(3, 2) < "x"
 
     def test_arithmetic(self):
         assert ExactValue(1, 1) - ExactValue(1, 2) == ExactValue(1, 2)
@@ -136,6 +163,38 @@ class TestExactValue:
         assert (x == y) == (fx == fy)
         assert (x >= y) == (fx >= fy)
         assert (x <= fy) == (fx <= fy)
+
+
+@pytest.mark.parametrize(
+    "clone",
+    [copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+@pytest.mark.parametrize(
+    "value",
+    [ExactValue(3, 2), ExactValue(-19, 7), ExactValue(0), parse_bits("0110"),
+     parse_bits("01" * 40)],
+    ids=["ExactValue", "ExactValue-negative", "ExactValue-zero", "BitSequence",
+         "BitSequence-long"],
+)
+def test_copy_and_pickle_keep_type_and_value(clone, value):
+    twin = clone(value)
+    assert type(twin) is type(value)
+    assert twin == value
+    assert repr(twin) == repr(value)
+
+
+def test_reports_convert_with_asdict():
+    # asdict deep-copies every value that is not a dataclass, tuple, list or dict
+    r = normality_fast(parse_bits("0110101110"))
+    assert dataclasses.asdict(r)["per_k_max"] == r.per_k_max
+    s = exhaustive_min(6)
+    d = dataclasses.asdict(s)
+    assert (d["min_value"], d["witnesses"]) == (s.min_value, s.witnesses)
+    v = lemma1_verify(GeneratorSpec.parse("random:1").stream(), 64, 8)
+    normality = [c["normality"] for c in dataclasses.asdict(v)["checkpoints"]]
+    assert normality == [c.normality for c in v.checkpoints]
+    assert {type(x) for x in normality} == {ExactValue}
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,7 @@
 import json
+import runpy
+import sys
+import warnings
 
 import pytest
 
@@ -222,10 +225,14 @@ def test_search_range_checked_before_searching(cap, monkeypatch, text, bad):
          "prefix engine supports fewer than 2^26 points"),
         (["discrepancy", "--gen", "random:1", "--n", str(1 << 31), "--w", "64"],
          "discrepancy supports fewer than 2^31 points"),
+        (["discrepancy", "--gen", "random:1", "--n", str(1 << 30), "--w", "64"],
+         "1073741824 orbit points of 64 bits need n + w - 1 = 1073741887 digits,"
+         " more than the 2^30 digit limit"),
         (["generate", "--gen", "random:1", "--n", str((1 << 30) + 1)],
          "sequence length 1073741825 exceeds the measure's limit 2^30"),
     ],
-    ids=["measure", "scan", "verify-lemma", "discrepancy", "generate"],
+    ids=["measure", "scan", "verify-lemma", "discrepancy", "discrepancy-digits",
+         "generate"],
 )
 def test_limits_checked_before_generating(cap, monkeypatch, argv, message):
     def fail(*args, **kwargs):
@@ -476,6 +483,15 @@ class TestDispatch:
 
     def test_help_exit_0(self, cap):
         assert cap(["--help"])[0] == 0
+
+    @pytest.mark.parametrize("argv,code", [(["--help"], 0), (["frobnicate"], 2)])
+    def test_main_guard_exits_with_run_code(self, monkeypatch, argv, code):
+        monkeypatch.setattr(sys, "argv", ["normbits", *argv])
+        with warnings.catch_warnings(), pytest.raises(SystemExit) as exc:
+            # runpy warns that normbits.cli is already imported; that is expected
+            warnings.simplefilter("ignore", RuntimeWarning)
+            runpy.run_module("normbits.cli", run_name="__main__")
+        assert exc.value.code == code
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     @pytest.mark.parametrize("argv", list(PAYLOAD_ARGV.values()), ids=list(PAYLOAD_ARGV))
