@@ -1,5 +1,5 @@
-"""Core value types: packed bit sequences, fixed-length patterns, and
-ExactValue, the Fraction subtype whose denominator is a power of two.
+"""Core value types: digit sequences as read-only uint8 arrays, k-digit patterns,
+and ExactValue, the Fraction whose denominator is a power of two.
 
 Conventions used throughout the package:
 
@@ -14,10 +14,11 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import codecs
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -64,12 +65,11 @@ def read_ascii(path: str) -> str:
 class ExactValue(Fraction):
     """The rational num / 2**log2_den: a Fraction with a power-of-two denominator.
 
-    Fraction's lowest terms are the canonical form (the numerator is odd,
-    or zero, whenever log2_den > 0), and Fraction supplies the exact
-    comparisons, hashing and arithmetic; a difference or an abs() is a
-    plain Fraction. Fraction rebuilds a subclass as cls(numerator,
-    denominator), so copying and pickling are redefined here, and the
-    inherited from_float and from_decimal do not apply.
+    Fraction's lowest terms are the canonical form (the numerator is odd, or
+    zero, whenever log2_den > 0). Fraction supplies the exact comparisons,
+    hashing and arithmetic (a difference or an abs() is a plain Fraction), but
+    rebuilds a subclass as cls(numerator, denominator), reading the denominator
+    as log2_den; so copy, pickle, from_float and from_decimal are redefined.
     """
 
     __slots__ = ()
@@ -94,6 +94,14 @@ class ExactValue(Fraction):
             raise ValueError(f"{f} does not have a power-of-two denominator")
         return cls(f.numerator, den.bit_length() - 1)
 
+    @classmethod
+    def from_float(cls, f: float) -> "ExactValue":
+        return cls.from_fraction(Fraction.from_float(f))
+
+    @classmethod
+    def from_decimal(cls, dec: Decimal) -> "ExactValue":
+        return cls.from_fraction(Fraction.from_decimal(dec))
+
     def as_fraction(self) -> Fraction:
         return Fraction(self)
 
@@ -109,107 +117,85 @@ class ExactValue(Fraction):
     def __reduce__(self):
         return type(self), (self.num, self.log2_den)
 
-    def __copy__(self):
+    def __copy__(self, memo=None):
         return self
 
-    def __deepcopy__(self, memo):
-        return self
+    __deepcopy__ = __copy__
 
 
 class BitSequence:
-    """Immutable finite binary sequence, bit-packed eight digits per byte.
+    """Immutable finite binary sequence held as a read-only uint8 array.
 
-    The first digit maps to the most significant bit of the first byte.
-    ``seq[i]`` is digit e_(i+1).
+    ``seq[i]`` is digit e_(i+1). The array is a read-only view of a
+    read-only base, and numpy refuses to make such a view writeable again,
+    so ``to_numpy()`` and ``prefix()`` hand it out without a copy.
     """
 
-    __slots__ = ("_packed", "_n")
+    __slots__ = ("_bits",)
 
-    def __init__(self, bits: Iterable[int] = ()):
-        arr = np.asarray(list(bits), dtype=np.uint8)
-        if arr.size and (arr > 1).any():
+    def __new__(cls, bits: Iterable[int] = ()):
+        arr = np.array(bits if isinstance(bits, np.ndarray) else list(bits))
+        if ((arr != 0) & (arr != 1)).any():
             raise ValueError("bits must be 0 or 1")
-        object.__setattr__(self, "_packed", np.packbits(arr).tobytes())
-        object.__setattr__(self, "_n", int(arr.size))
+        return cls._adopt(arr.astype(np.uint8, copy=False))
+
+    @classmethod
+    def _adopt(cls, arr: np.ndarray) -> "BitSequence":
+        """Hold, uncopied, a 0/1 uint8 array: one just made, or a view of one held."""
+        arr.flags.writeable = False
+        seq = object.__new__(cls)
+        object.__setattr__(seq, "_bits", arr.view())
+        return seq
 
     def __setattr__(self, name, value):
         raise AttributeError("BitSequence is immutable")
-
-    @classmethod
-    def _from_packed(cls, packed: bytes, n: int) -> "BitSequence":
-        seq = cls.__new__(cls)
-        object.__setattr__(seq, "_packed", packed)
-        object.__setattr__(seq, "_n", n)
-        return seq
-
-    @classmethod
-    def from_numpy(cls, arr: np.ndarray) -> "BitSequence":
-        arr = np.ascontiguousarray(arr, dtype=np.uint8)
-        if arr.size and arr.max() > 1:
-            raise ValueError("bits must be 0 or 1")
-        return cls._from_packed(np.packbits(arr).tobytes(), int(arr.size))
 
     @classmethod
     def from01(cls, text: str) -> "BitSequence":
         bad = set(text) - {"0", "1"}
         if bad:
             raise ValueError(f"invalid binary digit(s): {sorted(bad)}")
-        arr = np.frombuffer(text.encode("ascii"), dtype=np.uint8) - ord("0")
-        return cls.from_numpy(arr)
-
-    # -- access --------------------------------------------------------
+        return cls._adopt(np.frombuffer(text.encode(), np.uint8) - ord("0"))
 
     def __len__(self) -> int:
-        return self._n
+        return self._bits.size
 
     def __getitem__(self, i: int) -> int:
-        if not 0 <= i < self._n:
-            raise IndexError(f"index {i} outside [0, {self._n})")
-        return (self._packed[i >> 3] >> (7 - (i & 7))) & 1
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.to_numpy().tolist())
+        if not 0 <= i < self._bits.size:
+            raise IndexError(f"index {i} outside [0, {self._bits.size})")
+        return self._bits.item(i)
 
     def to_numpy(self) -> np.ndarray:
-        """Unpacked uint8 array of the digits (fresh copy)."""
-        if self._n == 0:
-            return np.zeros(0, dtype=np.uint8)
-        raw = np.frombuffer(self._packed, dtype=np.uint8)
-        return np.unpackbits(raw, count=self._n)
+        """The digits as a read-only uint8 array (not a copy)."""
+        return self._bits
 
     def to01(self) -> str:
-        return (self.to_numpy() + ord("0")).tobytes().decode("ascii")
+        # no copy of the digits; a 256-entry map takes CPython's fast path
+        return codecs.charmap_decode(self._bits, "strict", "01".ljust(256))[0]
 
     def prefix(self, m: int) -> "BitSequence":
-        if not 0 <= m <= self._n:
-            raise ValueError(f"prefix length {m} outside [0, {self._n}]")
-        nbytes = (m + 7) >> 3
-        raw = bytearray(self._packed[:nbytes])
-        if m & 7 and nbytes:
-            raw[-1] &= 0xFF << (8 - (m & 7)) & 0xFF
-        return BitSequence._from_packed(bytes(raw), m)
+        if not 0 <= m <= len(self):
+            raise ValueError(f"prefix length {m} outside [0, {len(self)}]")
+        return BitSequence._adopt(self._bits[:m])
 
     def complement(self) -> "BitSequence":
-        raw = bytearray(b ^ 0xFF for b in self._packed)
-        if self._n & 7 and raw:
-            raw[-1] &= 0xFF << (8 - (self._n & 7)) & 0xFF
-        return BitSequence._from_packed(bytes(raw), self._n)
+        return BitSequence._adopt(self._bits ^ 1)
 
     def __eq__(self, other):
         if not isinstance(other, BitSequence):
             return NotImplemented
-        return self._n == other._n and self._packed == other._packed
+        return np.array_equal(self._bits, other._bits)
 
     def __hash__(self):
-        return hash((self._n, self._packed))
+        return hash(self._bits.tobytes())
 
     def __reduce__(self):
-        return self._from_packed, (self._packed, self._n)
+        return BitSequence, (self._bits,)
 
     def __repr__(self):
-        if self._n <= 64:
+        if len(self) <= 64:
             return f"BitSequence({self.to01()!r})"
-        return f"BitSequence(<{self._n} bits>)"
+        return f"BitSequence(<{len(self)} bits>)"
 
 
 @dataclass(frozen=True)
@@ -239,14 +225,14 @@ def parse_bits(text: str) -> BitSequence:
     """Parse a bit string, either plain ASCII over {0,1} or "hex:<digits>/<length>".
 
     The hex form carries an explicit bit count because leading zeros are
-    significant ("0" and "000" are different sequences); the hex digits are
-    expanded MSB-first and the first <length> bits are taken.
+    significant ("0" and "000" are different sequences); the digits, each
+    one of 0-9, a-f or A-F, are expanded MSB-first and the first <length>
+    bits are taken.
     """
     if text.startswith("hex:"):
-        body = text[4:]
-        if "/" not in body:
+        digits, slash, length_s = text[4:].rpartition("/")
+        if not slash:
             raise ValueError("hex form must be hex:<digits>/<length>")
-        digits, _, length_s = body.rpartition("/")
         try:
             n = int(length_s)
         except ValueError:
@@ -257,13 +243,8 @@ def parse_bits(text: str) -> BitSequence:
             raise ValueError(
                 f"bit length {n} exceeds the {4 * len(digits)} bits available"
             )
-        try:
-            value = int(digits, 16) if digits else 0
-        except ValueError:
-            raise ValueError(f"invalid hex digits {digits!r}") from None
-        total = 4 * len(digits)
-        arr = np.array(
-            [(value >> (total - 1 - i)) & 1 for i in range(n)], dtype=np.uint8
-        )
-        return BitSequence.from_numpy(arr)
+        if set(digits) - set("0123456789abcdefABCDEF"):
+            raise ValueError(f"invalid hex digits {digits!r}")
+        raw = np.frombuffer(bytes.fromhex(digits + "0" * (len(digits) & 1)), np.uint8)
+        return BitSequence._adopt(np.unpackbits(raw, count=n))
     return BitSequence.from01(text)

@@ -265,8 +265,8 @@ def run(argv: list[str]) -> int:
     try:
         if args.subcommand == "generate":
             check_measure_n(args.n)
-            seq = GeneratorSpec.parse(args.gen).bits(args.n)
-            text, code = seq.to01() + "\n", 0
+            # no name holds the digits while the newline copies their text
+            text, code = GeneratorSpec.parse(args.gen).bits(args.n).to01() + "\n", 0
         else:
             fields, body, header, rows, code = _PAYLOAD_COMMANDS[args.subcommand](args)
             config = {

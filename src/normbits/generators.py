@@ -69,7 +69,7 @@ def random_bits(seed: int, n: int) -> BitSequence:
     words = splitmix64_outputs(seed, (n + 63) // 64)
     raw = words.astype(">u8").view(np.uint8)
     bits = np.unpackbits(raw, count=n) if n else np.zeros(0, dtype=np.uint8)
-    return BitSequence.from_numpy(bits)
+    return BitSequence._adopt(bits)
 
 
 def champernowne_bits(n: int) -> BitSequence:
@@ -102,7 +102,7 @@ def rational_bits(p: int, q: int, n: int) -> BitSequence:
         if r >= q:
             out[i] = 1
             r -= q
-    return BitSequence.from_numpy(np.frombuffer(bytes(out), dtype=np.uint8))
+    return BitSequence._adopt(np.frombuffer(bytes(out), dtype=np.uint8))
 
 
 class StreamExhausted(ValueError):

@@ -3,6 +3,7 @@ import dataclasses
 import pickle
 import random
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from normbits.bitcore import BitSequence, ExactValue, Pattern, decimal_str, parse_bits
-from normbits.generators import GeneratorSpec
+from normbits.generators import GeneratorSpec, random_bits, rational_bits
 from normbits.measure import normality_fast
 from normbits.orbit import lemma1_verify
 from normbits.search import exhaustive_min
@@ -91,13 +92,33 @@ class TestBitSequence:
             BitSequence([0, 2])
 
     def test_immutable(self):
-        seq = parse_bits("01")
+        seq = parse_bits("0110")
         with pytest.raises(AttributeError):
-            seq._n = 5
+            seq._bits = np.ones(4, np.uint8)
+        # to_numpy() and prefix() share the held array, which stays read-only
+        assert seq.to_numpy() is seq.to_numpy()
+        assert np.shares_memory(seq.prefix(3).to_numpy(), seq.to_numpy())
+        for held in (seq, seq.prefix(3), BitSequence(np.array([0, 1])),
+                     parse_bits("hex:b/3"), random_bits(1, 70), rational_bits(1, 3, 5),
+                     seq.complement(), pickle.loads(pickle.dumps(seq.prefix(2)))):
+            arr = held.to_numpy()
+            with pytest.raises(ValueError):
+                arr[0] = 1
+            with pytest.raises(ValueError):
+                arr.flags.writeable = True
+        assert seq.to01() == "0110"
+
+    def test_constructor_copies(self):
+        arr = np.array([0, 1, 1], dtype=np.uint8)
+        seq = BitSequence(arr)
+        arr[0] = 1
+        assert seq.to01() == "011"
 
     def test_equality_and_hash(self):
         assert parse_bits("0110") == BitSequence([0, 1, 1, 0])
         assert hash(parse_bits("0110")) == hash(BitSequence([0, 1, 1, 0]))
+        view = parse_bits("011011").prefix(4)
+        assert view == parse_bits("0110") and hash(view) == hash(parse_bits("0110"))
         assert parse_bits("0110") != parse_bits("011")
         assert (parse_bits("01") == "01") is False
 
@@ -144,6 +165,13 @@ class TestExactValue:
         assert ExactValue(21, 2).decimal() == "5.25"
         assert ExactValue(3, 2).decimal() == "0.75"
 
+    def test_from_float_and_decimal(self):
+        # Fraction's versions build cls(numerator, denominator): 1/4, 3/2, 3/16
+        assert ExactValue.from_float(0.5) == ExactValue(1, 1)
+        assert ExactValue.from_float(3.0) == ExactValue(3)
+        assert ExactValue.from_decimal(Decimal("0.75")) == ExactValue(3, 2)
+        assert type(ExactValue.from_float(0.5)) is ExactValue
+
     def test_fraction_round_trip(self):
         v = ExactValue(-19, 3)
         assert ExactValue.from_fraction(v.as_fraction()) == v
@@ -173,9 +201,9 @@ class TestExactValue:
 @pytest.mark.parametrize(
     "value",
     [ExactValue(3, 2), ExactValue(-19, 7), ExactValue(0), parse_bits("0110"),
-     parse_bits("01" * 40)],
+     parse_bits("01" * 40), parse_bits("011010").prefix(5)],
     ids=["ExactValue", "ExactValue-negative", "ExactValue-zero", "BitSequence",
-         "BitSequence-long"],
+         "BitSequence-long", "BitSequence-prefix"],
 )
 def test_copy_and_pickle_keep_type_and_value(clone, value):
     twin = clone(value)
@@ -207,10 +235,13 @@ def test_reports_convert_with_asdict():
         pytest.param(lambda: ExactValue.from_fraction(Fraction(1, 3)),
                      "1/3 does not have a power-of-two denominator",
                      id="from_fraction"),
+        pytest.param(lambda: ExactValue.from_decimal(Decimal("0.1")),
+                     "1/10 does not have a power-of-two denominator",
+                     id="from_decimal"),
         pytest.param(lambda: BitSequence([0, 2]), "bits must be 0 or 1",
                      id="BitSequence"),
-        pytest.param(lambda: BitSequence.from_numpy(np.array([1, 2])),
-                     "bits must be 0 or 1", id="from_numpy"),
+        pytest.param(lambda: BitSequence(np.array([1, 2])),
+                     "bits must be 0 or 1", id="BitSequence-ndarray"),
         pytest.param(lambda: BitSequence.from01("0a1"),
                      "invalid binary digit(s): ['a']", id="from01"),
         pytest.param(lambda: parse_bits("01").prefix(3),
@@ -235,6 +266,16 @@ def test_reports_convert_with_asdict():
                      "bit length 5 exceeds the 4 bits available", id="hex-length-long"),
         pytest.param(lambda: parse_bits("hex:zz/4"), "invalid hex digits 'zz'",
                      id="hex-digits"),
+        pytest.param(lambda: parse_bits("hex:-1/8"), "invalid hex digits '-1'",
+                     id="hex-minus"),
+        pytest.param(lambda: parse_bits("hex:+f/4"), "invalid hex digits '+f'",
+                     id="hex-plus"),
+        pytest.param(lambda: parse_bits("hex:1_f/8"), "invalid hex digits '1_f'",
+                     id="hex-underscore"),
+        pytest.param(lambda: parse_bits("hex:0x1/8"), "invalid hex digits '0x1'",
+                     id="hex-0x"),
+        pytest.param(lambda: parse_bits("hex: f/4"), "invalid hex digits ' f'",
+                     id="hex-space"),
     ],
 )
 def test_argument_checks(call, message):

@@ -317,7 +317,7 @@ class TestReportSerialization:
     "evaluate", [normality_fast, normality_naive, normality_value]
 )
 def test_domain_limit(evaluate):
-    # calloc-backed zeros: the check must come before the digits unpack
-    seq = BitSequence._from_packed(bytes((1 << 27) + 1), (1 << 30) + 1)
+    # calloc-backed zeros held without a pass: the limit check precedes any pass
+    seq = BitSequence._adopt(np.zeros((1 << 30) + 1, np.uint8))
     with pytest.raises(ValueError, match="exceeds the measure's limit 2\\^30"):
         evaluate(seq)
