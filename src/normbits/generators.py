@@ -73,18 +73,25 @@ def random_bits(seed: int, n: int) -> BitSequence:
 
 
 def champernowne_bits(n: int) -> BitSequence:
-    """First n digits of the concatenation 1, 10, 11, 100, 101, ... in binary."""
+    """First n digits of the concatenation 1, 10, 11, 100, 101, ... in binary.
+
+    Each bit length's integers fill a (count, length) block, one column per
+    bit; digit n lies in an integer <= n, so n + n.bit_length() holds it.
+    """
     if n < 0:
         raise ValueError("n must be >= 0")
-    parts: list[str] = []
-    total = 0
-    i = 1
-    while total < n:
-        s = format(i, "b")
-        parts.append(s)
-        total += len(s)
-        i += 1
-    return BitSequence.from01("".join(parts)[:n])
+    out = np.empty(n + n.bit_length(), dtype=np.uint8)
+    pos, length = 0, 1
+    while pos < n:
+        first = 1 << (length - 1)
+        count = min(first, -(-(n - pos) // length))
+        ints = np.arange(first, first + count, dtype=np.int64)
+        block = out[pos : pos + count * length].reshape(count, length)
+        for j in range(length):
+            block[:, j] = (ints >> (length - 1 - j)) & 1
+        pos += count * length
+        length += 1
+    return BitSequence._adopt(out[:n])
 
 
 def rational_bits(p: int, q: int, n: int) -> BitSequence:

@@ -7,19 +7,16 @@ provided:
 
 * :func:`normality_naive` walks every (k, X, M) triple by definition and is
   the testing oracle.
-* :func:`normality_fast` runs one pass per k. For fixed k the deviation at
-  step M is max(maxcount - M/2^k, M/2^k - mincount). The max side attains
-  its maximum only at steps where the arriving window sets a new count, so
-  max_M (2^k*maxcount - M) = max_i (2^k*occ_i - (i+1)) over the windows'
-  occurrence ranks; the min side is piecewise linear between the steps
-  where the rarest pattern catches up, so it peaks just before each
-  catch-up. The pass works entirely in the windows' stable order by code,
-  carried with the codes in that order from k-1 to k by one O(N) radix
-  pass, so no k sorts. In that order the ranks are positions within each
-  group of equal codes, so the max side is one segmented maximum and the
-  min side one gather at the group starts; nothing is scattered back to
-  window order. When a k takes the lead, the witness is read off the same
-  arrays.
+* :func:`normality_fast` runs one pass per k. A pattern's 2^k*T - M rises
+  by 2^k - 1 as one of its windows arrives and falls by 1 at every other
+  step, so |2^k*T - M| peaks as a window arrives, just before one
+  arrives, or at the last step. The pass works entirely in the windows'
+  stable order by code, carried with the codes in that order from k-1 to
+  k by one O(N) radix pass, so no k sorts. In that order a window's
+  occurrence rank is its position within its group of equal codes, so
+  each side of every pattern is one segmented maximum or minimum over the
+  groups; nothing is scattered back to window order. When a k takes the
+  lead, the witness is read off the first pattern's group at the peak.
 * :func:`normality_value` runs the same passes for the value alone and
   stops before the pass for k once G <= B, where B is the best value over
   the k's before it and G the largest group of equal codes among the
@@ -235,57 +232,45 @@ def _scan_k(
     from the windows' stable order by code and the codes in that order.
 
     Position p of group g (the windows with one code, from starts[g]) holds
-    window i = order[p] with occurrence rank p - starts[g] + 1. The high
-    side peaks where a window arrives (step i+1) at 2^k*rank - (i+1), so
-    group g's peak is max_p (p*2^k - order[p]) - starts[g]*2^k + 2^k - 1.
-    The minimum count reaches v+1 when the last pattern occurs for the
-    (v+1)-th time, so if all 2^k patterns occur, the low side peaks at
-    ends[v] = max_g order[starts[g] + v], the last step with minimum count
-    v, for v below the smallest group size; the final level ends at m.
+    window i = order[p] with occurrence rank r = p - starts[g] + 1, so with
+    q[p] = p*2^k - i, 2^k*r - i = q[p] - starts[g]*2^k + 2^k. A pattern's
+    deviation peaks as one of its windows arrives (step i+1, at 2^k*r -
+    (i+1)), just before one arrives (step i, at i - 2^k*(r-1)) or at the
+    last step m (at m - 2^k*size). A missing pattern peaks at m, above
+    every present one's last two, so those are read only when all 2^k
+    patterns occur.
     """
     m = sc.shape[0]
     new = np.empty(m, dtype=bool)
     new[0] = True
     np.not_equal(sc[1:], sc[:-1], out=new[1:])
     starts = np.flatnonzero(new)
-    levels = 0
-    if starts.size == 1 << k:
-        sizes = np.diff(starts, append=m)
-        levels = int(sizes.min())
-    ends = np.empty(levels + 1, dtype=np.int64)
-    ends[levels] = m
-    if levels:
-        ends[:levels] = np.take(order, starts[:, None] + np.arange(levels)).max(axis=0)
-    low = ends - (np.arange(levels + 1, dtype=np.int64) << k)
+    full = starts.size == 1 << k
     q = np.arange(0, m << k, 1 << k, dtype=np.int64)
     q -= order
     peaks = np.maximum.reduceat(q, starts)
-    del q  # the witness rebuilds its group's slice
-    peaks -= starts << k
-    high = int(peaks.max()) + (1 << k) - 1
-    num = max(high, int(low.max()))
+    lows = np.minimum.reduceat(q, starts) if full else None
+    del q  # before any other group-sized array
+    base = starts << k
+    peaks -= base
+    peaks += (1 << k) - 1
+    if full:
+        np.maximum(peaks, np.subtract(base, lows, out=lows), out=peaks)
+        np.maximum(peaks, m - (np.diff(starts, append=m) << k), out=peaks)
+    num = max(int(peaks.max()), 0 if full else m)
     if best is None or not _better(num, k, best[0], best[1]):
         return num, None, starts
-    cands: list[tuple[int, int, int]] = []
-    if high == num:
-        g = int(np.argmax(peaks == num - (1 << k) + 1))
-        s = int(starts[g])
-        group = order[s : int(starts[g + 1]) if g + 1 < starts.size else m]
-        ranks = np.arange(1, group.size + 1, dtype=np.int64)
-        p = int(np.argmax((ranks << k) - group == num + 1))
-        cands.append((int(sc[s]), int(group[p]) + 1, p + 1))
-    for v in np.flatnonzero(low[:levels] == num):
-        s = int(starts[np.argmax(np.take(order, starts + v))])
-        cands.append((int(sc[s]), int(ends[v]), int(v)))
-    if low[levels] == num:
-        if levels:
-            x = int(sc[starts[np.argmax(sizes == levels)]])
-        else:
-            codes = sc[starts]
-            gaps = np.flatnonzero(codes != np.arange(codes.size))
-            x = int(gaps[0]) if gaps.size else codes.size
-        cands.append((x, m, levels))
-    return num, min(cands), starts
+    peak = np.full(1 << k, m, dtype=np.int64)  # by code; a missing one peaks at m
+    peak[sc[starts]] = peaks
+    x = int(np.argmax(peak == num))
+    s, e = (int(v) for v in np.searchsorted(sc, np.array([x, x + 1], np.int32)))
+    d = np.arange(1 << k, (e - s + 1) << k, 1 << k, dtype=np.int64)
+    d -= order[s:e]  # 2^k*r - i over x's windows i
+    cands = [(m, e - s)] if m - ((e - s) << k) == num else []
+    for target, step in ((num + 1, 1), ((1 << k) - num, 0)):  # arrival, just before
+        for j in np.flatnonzero(d == target)[:1]:
+            cands.append((int(order[s + j]) + step, int(j) + step))
+    return num, (x, *min(cands)), starts
 
 
 def _sorted_windows(seq: BitSequence):

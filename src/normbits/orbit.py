@@ -148,6 +148,8 @@ class VerificationReport:
 
 def default_checkpoints(n: int) -> list[int]:
     """Powers of two up to n, plus n itself."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     cps = []
     p = 1
     while p <= n:

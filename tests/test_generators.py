@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,48 @@ from normbits.generators import (
 GOLDEN_SEED1_N8 = "10010001"
 
 
+def champernowne_oracle(n: int) -> str:
+    """The first n Champernowne digits by joining one binary string per integer."""
+    parts: list[str] = []
+    total = 0
+    i = 1
+    while total < n:
+        s = format(i, "b")
+        parts.append(s)
+        total += len(s)
+        i += 1
+    return "".join(parts)[:n]
+
+
+# the number of digits before the integers of bit length L, (L-2)*2^(L-1) + 1,
+# for L = 2 .. 17 (the last below 2^20)
+BLOCK_STARTS = [((length - 2) << (length - 1)) + 1 for length in range(2, 18)]
+
+
 class TestChampernowne:
+    def test_matches_oracle_at_every_short_length(self):
+        ref = champernowne_oracle(2100)
+        for n in range(2101):
+            assert champernowne_bits(n).to01() == ref[:n], n
+
+    @pytest.mark.parametrize("start", BLOCK_STARTS, ids=str)
+    def test_matches_oracle_at_block_boundaries(self, start):
+        ref = champernowne_oracle(start + 1)
+        for n in (start - 1, start, start + 1):
+            assert champernowne_bits(n).to01() == ref[:n]
+
+    def test_memory_is_a_few_bytes_per_digit(self):
+        # one uint8 per digit plus one bit length's integers at a time
+        n = 1 << 22
+        tracemalloc.start()
+        try:
+            bits = champernowne_bits(n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(bits) == n
+        assert peak < 3 * n
+
     def test_first_twelve(self):
         assert champernowne_bits(12).to01() == "110111001011"
 

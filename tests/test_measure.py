@@ -233,8 +233,8 @@ def witness_branch(seq: BitSequence, rep) -> str:
 def test_witness_branches(bits, branch, witness):
     # One sequence per place the witness can be read from, each with k >= 2
     # and a tie there that only the smallest-pattern-then-M rule breaks:
-    # taking the last tied group, position, level or missing pattern
-    # instead changes the report.
+    # taking the last tied pattern, or the last step at the peak on either
+    # side, instead changes the report.
     seq = parse_bits(bits)
     rep = normality_fast(seq)
     k, pattern, m, t = witness

@@ -210,6 +210,10 @@ def _unread():
         pytest.param(lambda: count_via_orbit(_unread(), 4, Pattern(4, 5), 3),
                      "pattern length 4 exceeds window bits 3",
                      id="count_via_orbit-k"),
+        pytest.param(lambda: default_checkpoints(0), "n must be >= 1",
+                     id="default_checkpoints-0"),
+        pytest.param(lambda: default_checkpoints(-3), "n must be >= 1",
+                     id="default_checkpoints-negative"),
         pytest.param(lambda: lemma1_verify(_unread(), 0, 8), "n must be >= 1",
                      id="lemma1_verify-n"),
         pytest.param(lambda: lemma1_verify(_unread(), 8, 0),
