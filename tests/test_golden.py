@@ -4,7 +4,9 @@ tests/golden/.
 
 `measure` runs both evaluators on Champernowne, random:1, 1/3 and all
 zeros at N = 1000 and N = 4096 (where 2^12 patterns exceed the 4085
-windows of length 12). `scan` runs at N = 256 and at perfbench's
+windows of length 12), and `normality_fast` on payloads that span many
+chunks of positions: random:1 at N = 2^20, and all zeros at N = 2^18 - 1,
+whose witness is at the top k. `scan` runs at N = 256 and at perfbench's
 N = 4096 with 200 samples. `search-min` and `generate` have one
 configuration each (four generators for `generate`).
 
@@ -88,6 +90,9 @@ def _cases() -> list[tuple[str, list[str]]]:
                     argv = ["measure", "--gen", gen, "--n", str(n), "--format", fmt]
                     argv += ["--algorithm", alg]
                     cases.append((f"measure_{_tag(gen)}_n{n}_{alg}.{fmt}", argv))
+        for gen, n in (("random:1", 1 << 20), ("rational:0/1", (1 << 18) - 1)):
+            argv = ["measure", "--gen", gen, "--n", str(n), "--format", fmt]
+            cases.append((f"measure_{_tag(gen)}_n{n}_fast.{fmt}", argv))
         argv = ["search-min", "--n", "2..12", "--format", fmt]
         cases.append((f"search-min_2-12.{fmt}", argv))
         for n, samples in ((256, 20), (4096, 200)):

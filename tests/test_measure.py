@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -141,12 +142,14 @@ def window_codes(bits: np.ndarray, k: int) -> np.ndarray:
     return codes
 
 
-@pytest.mark.parametrize(
-    "spec,n",
-    [("0", 300), ("1", 300), ("rational:1/3", 500), ("rational:1/7", 777),
-     ("champernowne", 1000), ("random:5", 2), ("random:6", 3), ("random:7", 7),
-     ("random:8", 255), ("random:9", 1024), ("random:10", 4097)],
-)
+CARRY_CASES = [
+    ("0", 300), ("1", 300), ("rational:1/3", 500), ("rational:1/7", 777),
+    ("champernowne", 1000), ("random:5", 2), ("random:6", 3), ("random:7", 7),
+    ("random:8", 255), ("random:9", 1024), ("random:10", 4097),
+]
+
+
+@pytest.mark.parametrize("spec,n", CARRY_CASES)
 def test_carried_order_is_stable_sort(spec, n, monkeypatch):
     # n = 2^k - 1 is the last length before a new k; at n = 1024 and 4097
     # the 2^k patterns of the top k outnumber its windows.
@@ -167,6 +170,62 @@ def test_carried_order_is_stable_sort(spec, n, monkeypatch):
         assert order.dtype == sc.dtype == np.int32
         np.testing.assert_array_equal(order, np.argsort(codes, kind="stable"))
         np.testing.assert_array_equal(sc, codes[order])
+
+
+@pytest.mark.parametrize("spec,n", CARRY_CASES)
+def test_carried_order_in_chunks_of_three(spec, n, monkeypatch):
+    monkeypatch.setattr(measure, "CHUNK", 3)
+    test_carried_order_is_stable_sort(spec, n, monkeypatch)
+
+
+class TestChunkEdges:
+    """The carry and the scan walk the positions one chunk at a time; with
+    chunks of a few positions every group, the witness's among them, is
+    cut at chunk edges."""
+
+    @pytest.fixture(scope="class")
+    def naive_reports(self):
+        return [
+            (seq, normality_naive(seq))
+            for n in range(0, 13)
+            for seq in map(BitSequence, itertools.product((0, 1), repeat=n))
+        ]
+
+    @pytest.mark.parametrize("chunk", [1, 3, 7])
+    def test_exhaustive_small(self, chunk, naive_reports, monkeypatch):
+        monkeypatch.setattr(measure, "CHUNK", chunk)
+        for seq, rep in naive_reports:
+            assert reports_equal(normality_fast(seq), rep), seq.to01()
+            assert normality_value(seq) == rep.value, seq.to01()
+
+    @pytest.mark.parametrize("spec,n", [("1", 9000), ("0", 9000), ("random:3", 9000)])
+    def test_long(self, spec, n, monkeypatch):
+        # All ones fills the ones' side buffer; all zeros puts the witness
+        # group, of n+1-k windows, across every chunk.
+        seq = sequence(spec, n)
+        whole = normality_fast(seq)  # one chunk: n < CHUNK
+        monkeypatch.setattr(measure, "CHUNK", 1 << 8)
+        assert reports_equal(normality_fast(seq), whole)
+        assert normality_value(seq) == whole.value
+        if spec == "0":
+            assert whole.value == zeros_closed_form(n)
+
+
+@pytest.mark.parametrize("evaluate", [normality_fast, normality_value])
+@pytest.mark.parametrize("spec", ["random:1", "champernowne", "1"])
+def test_memory_per_digit(spec, evaluate):
+    # One pair of int32 window orders and codes (8 bytes a digit), the
+    # shifted digits (1), the ones' side buffer (8 bytes a one) and arrays
+    # of one chunk; the digits themselves are not counted.
+    n = 1 << 20
+    seq = sequence(spec, n)
+    tracemalloc.start()
+    try:
+        evaluate(seq)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20 * n
 
 
 class TestValueOnly:
