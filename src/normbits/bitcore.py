@@ -135,6 +135,8 @@ class BitSequence:
 
     def __new__(cls, bits: Iterable[int] = ()):
         arr = np.array(bits if isinstance(bits, np.ndarray) else list(bits))
+        if arr.ndim != 1:
+            raise ValueError(f"bits must be one-dimensional, got shape {arr.shape}")
         if ((arr != 0) & (arr != 1)).any():
             raise ValueError("bits must be 0 or 1")
         return cls._adopt(arr.astype(np.uint8, copy=False))

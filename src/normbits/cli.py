@@ -205,7 +205,7 @@ def _cmd_verify(args) -> Payload:
     return fields, {"report": report.to_json_dict()}, header, rows, code
 
 
-def _parse_n_range(text: str) -> list[int]:
+def _parse_n_range(text: str, prune: bool) -> list[int]:
     """Parse `--n N` or `--n A..B`, checking every length before any search."""
     lo_s, dots, hi_s = text.partition("..")
     try:
@@ -215,15 +215,16 @@ def _parse_n_range(text: str) -> list[int]:
         raise ValueError(f"--n must be N or A..B, got {text!r}") from None
     if lo > hi:
         raise ValueError(f"empty range {text!r}")
-    check_search_n(lo)
-    check_search_n(hi)
+    check_search_n(lo, prune)
+    check_search_n(hi, prune)
     return list(range(lo, hi + 1))
 
 
 def _cmd_search(args) -> Payload:
-    ns = _parse_n_range(args.n)
-    fields = {"n": args.n, "cap": args.cap, "prune": not args.no_prune}
-    results = [exhaustive_min(n, cap=args.cap, prune=not args.no_prune) for n in ns]
+    prune = not args.no_prune
+    ns = _parse_n_range(args.n, prune)
+    fields = {"n": args.n, "cap": args.cap, "prune": prune}
+    results = [exhaustive_min(n, cap=args.cap, prune=prune) for n in ns]
     header = ["N", "min_num", "min_log2_den", "min_decimal", "witness"]
     rows = [
         [

@@ -1,22 +1,29 @@
 """Exhaustive minimization of the normality measure over all length-n
 binary sequences, and Monte Carlo scans of its typical size.
 
-The search walks the binary prefix tree depth-first, maintaining for each
-admissible block length k the per-pattern occurrence counts, a
-count-of-counts histogram giving the minimum count in O(1) amortized, and
-the running maximum deviation over the windows settled so far. Deviation
-terms already fixed by a prefix lower-bound the measure of every extension
-(k is always taken from the *target* length's range), and the bound only
-grows along a path. A walk cuts a branch once its bound strictly exceeds
-the walk's limit, and records the smallest bound it cut. The first walk
-has limit 0; while a walk reaches no leaf, the next one takes the smallest
-cut bound as its limit. Every leaf lies below some cut of the previous
-walk, so the limit never passes the minimum, and the strict cut keeps
-every minimum-attaining leaf reachable: the first walk that reaches a leaf
-reaches all minimizers, in lexicographic order, which makes the reported
-witness list complete up to the cap. With pruning enabled only sequences
-starting with 0 are enumerated, since complementing every bit permutes the
-patterns of each length and leaves all deviations unchanged.
+The search walks the binary prefix tree one level at a time, on a frontier
+of numpy rows. A row holds a prefix's bits, one uint8 count table whose
+columns from 2^k - 2 on count the length-k patterns for each admissible k,
+and each k's running maximum deviation. A level repeats every row into its
+two children, adds each k's new window to its counts, and takes the high
+side from the new window's count (a pattern's deviation only falls between
+its own increments) and the low side from the row minimum of k's counts.
+Deviation terms already fixed by a prefix lower-bound the measure of every
+extension (k is always taken from the *target* length's range), and the
+bound only grows along a path. A walk cuts a row once its bound strictly
+exceeds the walk's limit, and records the smallest bound it cut. The first
+walk has limit 0; while a walk reaches no leaf, the next one takes the
+smallest cut bound as its limit. Every leaf lies below some cut of the
+previous walk, so the limit never passes the minimum, and the strict cut
+keeps every minimum-attaining leaf reachable: the first walk that reaches a
+leaf reaches all minimizers. With pruning enabled only sequences starting
+with 0 are enumerated, since complementing every bit permutes the patterns
+of each length and leaves all deviations unchanged.
+
+The frontier is a stack of pieces of at most ROWS rows, and the leftmost
+piece always advances first. So leaves arrive in lexicographic order, which
+makes the reported witness list the smallest minimizers up to the cap, and
+memory stays within about n pieces however wide the tree grows.
 
 At a leaf every deviation term is settled, so the bound *is* the exact
 measure; no separate evaluation pass is needed.
@@ -36,7 +43,9 @@ from .measure import check_measure_n, max_block_length, normality_value
 __all__ = ["SearchResult", "ScanStats", "exhaustive_min", "typical_scan"]
 
 MAX_SEARCH_N = 51
+MAX_PLAIN_N = 26  # prune=False visits 2^(n+1) - 2 nodes: over a minute past 26
 MAX_SCAN_SAMPLES = 1 << 24
+ROWS = 1 << 12  # rows per frontier piece; the tests shrink it
 
 QUANTILE_KEYS = ("min", "p05", "p25", "median", "p75", "p95", "max")
 _QUANTILE_LEVELS = (0.0, 0.05, 0.25, 0.5, 0.75, 0.95, 1.0)
@@ -80,115 +89,61 @@ class ScanStats:
         }
 
 
-class _KState:
-    """Incremental per-k pass: counts, count histogram, running deviation."""
-
-    __slots__ = ("k", "mask", "counts", "hist", "minc", "maxdev")
-
-    def __init__(self, k: int, n: int):
-        self.k = k
-        self.mask = (1 << k) - 1
-        self.counts = [0] * (1 << k)
-        hist = [0] * (n + 2)
-        hist[0] = 1 << k
-        self.hist = hist
-        self.minc = 0
-        self.maxdev = 0
-
-    def push(self, window: int, m: int) -> tuple[int, int, int]:
-        token = (window, self.minc, self.maxdev)
-        c = self.counts[window]
-        self.counts[window] = c + 1
-        hist = self.hist
-        hist[c] -= 1
-        hist[c + 1] += 1
-        if c == self.minc and hist[c] == 0:
-            self.minc = c + 1
-        d = ((c + 1) << self.k) - m
-        if d > self.maxdev:
-            self.maxdev = d
-        d = m - (self.minc << self.k)
-        if d > self.maxdev:
-            self.maxdev = d
-        return token
-
-    def pop(self, token: tuple[int, int, int]) -> None:
-        window, minc, maxdev = token
-        c = self.counts[window] - 1
-        self.counts[window] = c
-        self.hist[c + 1] -= 1
-        self.hist[c] += 1
-        self.minc = minc
-        self.maxdev = maxdev
+def check_search_n(n: int, prune: bool = True) -> None:
+    top = MAX_SEARCH_N if prune else MAX_PLAIN_N
+    if not 1 <= n <= top:
+        suffix = "" if prune else " without pruning"
+        raise ValueError(f"n={n} outside [1, {top}]{suffix}")
 
 
-class _Task:
-    """One depth-first walk that cuts every branch whose bound exceeds
-    `limit`; exact arithmetic on the 2^klim denominator."""
-
-    def __init__(self, n: int, klim: int, cap: int, limit: int):
-        self.n = n
-        self.klim = klim
-        self.cap = cap
-        self.limit = limit
-        self.kstates = [_KState(k, n) for k in range(1, klim + 1)]
-        self.acc = 0
-        self.best = (n << klim) + 1
-        self.witnesses: list[int] = []
-        self.min_cut = (n << klim) + 1
-        self.nodes = 0
-        self.pruned = 0
-
-    def _push(self, bit: int, new_len: int) -> list:
-        self.acc = (self.acc << 1) | bit
-        self.nodes += 1
-        tokens = []
-        for st in self.kstates:
-            if new_len >= st.k:
-                tokens.append(st.push(self.acc & st.mask, new_len - st.k + 1))
-            else:
-                tokens.append(None)
-        return tokens
-
-    def _pop(self, tokens: list) -> None:
-        self.acc >>= 1
-        for st, token in zip(self.kstates, tokens):
-            if token is not None:
-                st.pop(token)
-
-    def _bound(self) -> int:
-        klim = self.klim
-        best = 0
-        for st in self.kstates:
-            d = st.maxdev << (klim - st.k)
-            if d > best:
-                best = d
-        return best
-
-    def _leaf(self, value: int) -> None:
-        if value < self.best:
-            self.best = value
-            self.witnesses = [self.acc]
-        elif value == self.best and len(self.witnesses) < self.cap:
-            self.witnesses.append(self.acc)
-
-    def descend(self, length: int, bits: tuple[int, ...] = (0, 1)) -> None:
-        for bit in bits:
-            tokens = self._push(bit, length + 1)
-            bound = self._bound()
-            if bound > self.limit:
-                self.pruned += 1
-                self.min_cut = min(self.min_cut, bound)
-            elif length + 1 == self.n:
-                self._leaf(bound)
-            else:
-                self.descend(length + 1)
-            self._pop(tokens)
-
-
-def check_search_n(n: int) -> None:
-    if not 1 <= n <= MAX_SEARCH_N:
-        raise ValueError(f"n={n} outside [1, {MAX_SEARCH_N}]")
+def _walk(n: int, klim: int, cap: int, limit: int, prune: bool) -> tuple:
+    """One walk that cuts every bound above `limit`, on the 2^klim
+    denominator: (best, witnesses, min_cut, nodes, pruned)."""
+    ks = np.arange(1, klim + 1)
+    starts = (1 << ks) - 2
+    masks = ((1 << ks) - 1).astype(np.uint64)
+    best = min_cut = (n << klim) + 1
+    witnesses: list[int] = []
+    nodes = pruned = 0
+    width = (1 << (klim + 1)) - 2
+    stack = [(0, np.zeros(1, np.uint64), np.zeros((1, width), np.uint8),
+              np.zeros((1, klim), np.int64))]
+    while stack:
+        length, bits, counts, dev = stack.pop()
+        reps = 1 if prune and length == 0 else 2
+        bits = np.repeat(bits << np.uint64(1), reps)
+        bits[1::2] |= np.uint64(1)
+        counts = np.repeat(counts, reps, axis=0)
+        dev = np.repeat(dev, reps, axis=0)
+        length += 1
+        nodes += bits.size
+        a = min(length, klim)  # the ks with a complete window
+        if a:
+            k, m = ks[:a], length - ks[:a] + 1
+            rows = np.arange(bits.size)[:, None]
+            cols = starts[:a] + (bits[:, None] & masks[:a]).astype(np.int64)
+            counts[rows, cols] += 1
+            high = (counts[rows, cols].astype(np.int64) << k) - m
+            low = np.minimum.reduceat(counts, starts, axis=1)[:, :a]
+            low = m - (low.astype(np.int64) << k)
+            dev[:, :a] = np.maximum(dev[:, :a], np.maximum(high, low))
+        bound = (dev << (klim - ks)).max(axis=1, initial=0)
+        cut = bound > limit
+        if cut.any():
+            pruned += int(np.count_nonzero(cut))
+            min_cut = min(min_cut, int(bound[cut].min()))
+            keep = ~cut
+            bits, counts, dev, bound = (x[keep] for x in (bits, counts, dev, bound))
+        if length == n:
+            if bound.size and bound.min() < best:
+                best, witnesses = int(bound.min()), []
+            room = cap - len(witnesses)
+            witnesses += [int(w) for w in bits[bound == best][:room]]
+        else:
+            for i in reversed(range(0, bits.size, ROWS)):
+                piece = slice(i, i + ROWS)
+                stack.append((length, bits[piece], counts[piece], dev[piece]))
+    return best, witnesses, min_cut, nodes, pruned
 
 
 def exhaustive_min(n: int, cap: int = 16, prune: bool = True) -> SearchResult:
@@ -205,7 +160,7 @@ def exhaustive_min(n: int, cap: int = 16, prune: bool = True) -> SearchResult:
     one's complement attains the same value and is not listed).
     `nodes_visited` and `pruned` are summed over all walks.
     """
-    check_search_n(n)
+    check_search_n(n, prune)
     if cap < 1:
         raise ValueError("cap must be >= 1")
     klim = max_block_length(n)
@@ -213,19 +168,17 @@ def exhaustive_min(n: int, cap: int = 16, prune: bool = True) -> SearchResult:
     limit = 0 if prune else n << klim
     nodes = pruned = 0
     while True:
-        task = _Task(n, klim, cap, limit)
-        task.descend(0, (0,) if prune else (0, 1))
-        nodes += task.nodes
-        pruned += task.pruned
-        if task.witnesses:
+        best, witnesses, limit, walk_nodes, walk_pruned = _walk(
+            n, klim, cap, limit, prune
+        )
+        nodes += walk_nodes
+        pruned += walk_pruned
+        if witnesses:
             break
-        limit = task.min_cut
     return SearchResult(
         n=n,
-        min_value=ExactValue(task.best, klim),
-        witnesses=tuple(
-            BitSequence.from01(format(w, f"0{n}b")) for w in task.witnesses
-        ),
+        min_value=ExactValue(best, klim),
+        witnesses=tuple(BitSequence.from01(format(w, f"0{n}b")) for w in witnesses),
         nodes_visited=nodes,
         pruned=pruned,
     )

@@ -242,6 +242,12 @@ def test_reports_convert_with_asdict():
                      id="BitSequence"),
         pytest.param(lambda: BitSequence(np.array([1, 2])),
                      "bits must be 0 or 1", id="BitSequence-ndarray"),
+        pytest.param(lambda: BitSequence([[0, 1], [1, 0]]),
+                     "bits must be one-dimensional, got shape (2, 2)",
+                     id="BitSequence-2d"),
+        pytest.param(lambda: BitSequence(np.array(1)),
+                     "bits must be one-dimensional, got shape ()",
+                     id="BitSequence-0d"),
         pytest.param(lambda: BitSequence.from01("0a1"),
                      "invalid binary digit(s): ['a']", id="from01"),
         pytest.param(lambda: parse_bits("01").prefix(3),

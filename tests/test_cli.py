@@ -214,6 +214,18 @@ def test_search_range_checked_before_searching(cap, monkeypatch, text, bad):
     assert err.splitlines() == [f"error: n={bad} outside [1, 51]"]
 
 
+@pytest.mark.parametrize("text,bad", [("27", 27), ("1..27", 27), ("27..30", 27),
+                                      ("0..3", 0)])
+def test_plain_search_range_checked_before_searching(cap, monkeypatch, text, bad):
+    def fail(*args, **kwargs):
+        raise AssertionError("exhaustive_min called")
+
+    monkeypatch.setattr(cli, "exhaustive_min", fail)
+    code, out, err = cap(["search-min", "--n", text, "--no-prune"])
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [f"error: n={bad} outside [1, 26] without pruning"]
+
+
 @pytest.mark.parametrize(
     "argv,message",
     [

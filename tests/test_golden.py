@@ -7,8 +7,9 @@ zeros at N = 1000 and N = 4096 (where 2^12 patterns exceed the 4085
 windows of length 12), and `normality_fast` on payloads that span many
 chunks of positions: random:1 at N = 2^20, and all zeros at N = 2^18 - 1,
 whose witness is at the top k. `scan` runs at N = 256 and at perfbench's
-N = 4096 with 200 samples. `search-min` and `generate` have one
-configuration each (four generators for `generate`).
+N = 4096 with 200 samples. `search-min` runs n = 2..12 in both formats,
+and n = 1..51, the whole range it admits, in JSON. `generate` runs four
+generators.
 
 For `discrepancy` and `verify-lemma`, the corpus covers the window widths
 on both sides of every limb boundary (w = 8, 31, 32, 33, 64), three
@@ -99,6 +100,7 @@ def _cases() -> list[tuple[str, list[str]]]:
             argv = ["scan", "--n", str(n), "--samples", str(samples), "--seed", "1"]
             argv += ["--format", fmt]
             cases.append((f"scan_n{n}_s{samples}_seed1.{fmt}", argv))
+    cases.append(("search-min_1-51.json", ["search-min", "--n", "1..51"]))
     for gen in MEASURE_GENS:
         argv = ["generate", "--gen", gen, "--n", "4096"]
         cases.append((f"generate_{_tag(gen)}.txt", argv))

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -32,6 +33,8 @@ class TestExhaustiveMin:
             exhaustive_min(52)
         with pytest.raises(ValueError):
             exhaustive_min(4, cap=0)
+        with pytest.raises(ValueError, match=r"^n=27 outside \[1, 26\] without pruning$"):
+            exhaustive_min(27, prune=False)
 
     def test_prune_matches_plain(self):
         # The pruned walks list the plain oracle's minimizers that start
@@ -44,6 +47,34 @@ class TestExhaustiveMin:
                 w.to01() for w in plain.witnesses if w.to01()[0] == "0"
             ], n
             assert pruned.nodes_visited <= plain.nodes_visited
+
+    @pytest.mark.parametrize("rows", [1, 3, 7])
+    def test_piece_size_changes_nothing(self, rows, monkeypatch):
+        # Pieces of 1, 3 and 7 rows split every level the default keeps whole.
+        configs = [
+            (n, cap, prune)
+            for n in range(1, 13)
+            for cap in (1, 5, 64)
+            for prune in (True, False)
+        ]
+        expected = [exhaustive_min(*c).to_json_dict() for c in configs]
+        monkeypatch.setattr(search, "ROWS", rows)
+        assert [exhaustive_min(*c).to_json_dict() for c in configs] == expected
+
+    def test_plain_visits_every_node(self):
+        for n in range(1, 17):
+            res = exhaustive_min(n, prune=False)
+            assert (res.nodes_visited, res.pruned) == ((1 << (n + 1)) - 2, 0), n
+
+    def test_plain_frontier_memory_is_bounded(self):
+        # One unbounded frontier would peak at about 240 MiB here.
+        tracemalloc.start()
+        try:
+            exhaustive_min(20, prune=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20
 
     def test_witnesses_recheck_and_complement(self):
         for n in (3, 5, 7, 9):
