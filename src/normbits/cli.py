@@ -32,6 +32,10 @@ from .search import QUANTILE_KEYS, check_search_n, exhaustive_min, typical_scan
 __all__ = ["run", "main"]
 
 MAX_INLINE_BITS = 1 << 16
+# The naive evaluator's time grows about fourfold per doubling of N, and its
+# k = 1 pass holds several N-entry int64 arrays; measure refuses it past
+# this length before evaluating (with --gen, before generating any digit).
+MAX_NAIVE_N = 1 << 16
 
 # (config fields, JSON body, CSV header, CSV rows, exit code)
 Payload = tuple[dict, dict, list[str], list[list], int]
@@ -109,11 +113,21 @@ def _load_sequence(args) -> BitSequence:
             )
         return parse_bits(args.bits)
     if args.input is not None:
-        return file_bits(args.input)
+        seq = file_bits(args.input)
+        _check_naive_n(args, len(seq))
+        return seq
     if args.n is None:
         raise ValueError("--gen requires --n")
     check_measure_n(args.n)
+    _check_naive_n(args, args.n)
     return GeneratorSpec.parse(args.gen).bits(args.n)
+
+
+def _check_naive_n(args, n: int) -> None:
+    if args.algorithm == "naive" and n > MAX_NAIVE_N:
+        raise ValueError(
+            f"--algorithm naive takes at most {MAX_NAIVE_N} digits, not {n}; use fast"
+        )
 
 
 def _cmd_measure(args) -> Payload:

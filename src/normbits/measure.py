@@ -11,16 +11,20 @@ provided:
   by 2^k - 1 as one of its windows arrives and falls by 1 at every other
   step, so |2^k*T - M| peaks as a window arrives, just before one
   arrives, or at the last step. The pass works entirely in the windows'
-  stable order by code, carried with the codes in that order from k-1 to
-  k by one O(N) radix pass, so no k sorts. In that order a window's
+  stable order by code, carried from k-1 to k by one O(N) radix pass, so
+  no k sorts. Each window carries, in the same order, at least
+  floor(log2 N) digits that end where it ends: its code is their low k
+  bits, and the digit the pass for k prepends is bit k-1, so the digits
+  are read once, before the first pass. In that order a window's
   occurrence rank is its position within its group of equal codes, so
-  each side of every pattern is one segmented maximum or minimum over the
-  groups; nothing is scattered back to window order. When a k takes the
-  lead, the witness is read off the first pattern at the peak. Every k's
-  order and codes overwrite k-1's in one pair of N+1 int32 entries, and
-  the carry and the scan walk the positions one chunk at a time, so every
-  other array is one chunk long, bar a side buffer of two int32 per digit
-  equal to 1.
+  each side of every pattern is one segmented maximum or minimum over
+  the groups; nothing is scattered back to window order. When a k takes
+  the lead, the witness is read off the first pattern at the peak. Every
+  k's order and digits overwrite k-1's in one pair of N+1 int32 entries;
+  the carry and the scan walk the positions one chunk at a time and
+  write into one set of chunk buffers per call. Besides them and the
+  pair, a call holds a side buffer of two int32 per digit equal to 1,
+  and index arrays of one chunk.
 * :func:`normality_value` runs the same passes for the value alone and
   stops before the pass for k once G <= B, where B is the best value over
   the k's before it and G the largest group of equal codes among the
@@ -39,6 +43,7 @@ in any decision.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional
 
@@ -199,96 +204,130 @@ def normality_naive(seq: BitSequence) -> NormalityReport:
 
 # -- single-pass evaluator ---------------------------------------------
 
-# Positions per chunk: every array the passes build, except the shifted
-# digits, the one pair of window orders and codes and the ones' side
-# buffer, is at most this long.
-CHUNK = 1 << 16
+# Positions per chunk: the carry and the scan walk the positions this many
+# at a time and write into the call's chunk buffers. The arrays they make
+# per chunk are flatnonzero's index arrays, of at most 8*CHUNK bytes, and,
+# for a witness, _first_missing's differences.
+CHUNK = 1 << 15
+
+
+class _Buffers:
+    """The chunk buffers of one call, each one entry longer than a chunk,
+    written by every k's carry and scan."""
+
+    def __init__(self, n: int):
+        size = min(CHUNK, n + 1) + 1
+        self.ramp = np.arange(size, dtype=np.int64)  # 0, 1, 2, ...
+        self.codes = np.empty(size, np.int32)
+        self.moved = np.empty((2, size), np.int32)
+        self.new = np.empty(size, bool)
+        # sizes: also each group's lowest q
+        self.dev, self.peaks, self.base, self.sizes = (
+            np.empty(size, np.int64) for _ in range(4)
+        )
+
+
+def _position(ck: np.ndarray, mask: int, x: int) -> int:
+    """The first position whose code ck & mask is at least x, where the
+    positions are sorted by that code."""
+    return bisect_left(range(ck.shape[0]), x, key=lambda p: ck.item(p) & mask)
 
 
 def _carry(
-    order: np.ndarray, sc: np.ndarray, code0: int, prev: np.ndarray, k: int,
-    side: np.ndarray,
+    pair: np.ndarray, code0: int, k: int, side: np.ndarray, buf: _Buffers
 ) -> None:
-    """Turn the windows' stable order by code for k-1, and their codes in
-    that order, into the pair for k, in place in the first order.size - 1
-    entries: code_k[j-1] = bits[j-1]*2^(k-1) + code_{k-1}[j], so drop window
-    0 (the first window holding its code code0), partition the rest stably
-    by prev[j] = bits[j-1], zeros first, shift them down one index and set
-    bit k-1 of the ones' codes. One LSD radix pass, one chunk at a time: a
-    chunk's ones go to the side buffer (orders in side[0], codes in
-    side[1]) and its zeros move down, never past the positions read so far;
-    the ones then fill the tail.
+    """Turn the windows' stable order by code for k-1, with their preceding
+    digits in that order (the two rows of pair), into the pair for k, in
+    place in the first pair.shape[1] - 1 columns. Window j-1 of length k is
+    digit j-1 followed by window j of length k-1 and ends where it ends,
+    so it keeps its entry in order (the end) and in ck, where that digit
+    is bit k-1. So drop window 0, of code code0, and partition the rest
+    stably by bit k-1, zeros first. One LSD radix pass, one chunk at a
+    time: a chunk's ones go to the side buffer (ends in side[0], digits in
+    side[1]) and its zeros move down, never past the positions read so
+    far; the ones then fill the tail.
     """
-    drop = int(np.searchsorted(sc, np.int32(code0)))  # int32: no cast of sc
+    order, ck = pair
+    # window 0 has the smallest end, k-1, in the chunk before the first
+    # chunk start whose code is at least code0 (or in the first chunk)
+    starts = range(0, order.size, CHUNK)
+    j = bisect_left(starts, code0, key=lambda a: ck.item(a) & ((1 << (k - 1)) - 1))
+    a = starts[j - 1] if j else 0
+    drop = a + int(order[a : a + CHUNK + 1].argmin())
     zeros = ones = 0
     for a in range(0, order.size, CHUNK):
-        o, c = order[a : a + CHUNK], sc[a : a + CHUNK]
-        one = np.take(prev, o)  # window 0 reads the pad, a zero
-        zero = ~one
-        if a <= drop < a + CHUNK:
-            zero[drop - a] = False
+        o, c = order[a : a + CHUNK], ck[a : a + CHUNK]
+        # bit k-1 of each, cast to bool on the way out
+        one = np.bitwise_and(c, 1 << (k - 1), out=buf.new[: c.size], casting="unsafe")
         idx = np.flatnonzero(one)
         end = ones + idx.size
         np.take(o, idx, out=side[0, ones:end], mode="clip")  # in range: no buffer
         np.take(c, idx, out=side[1, ones:end], mode="clip")
         ones = end
+        zero = np.logical_not(one, out=one)
+        if a <= drop < a + CHUNK:
+            zero[drop - a] = False  # window 0 reads a zero before position 0
         idx = np.flatnonzero(zero)
-        end = zeros + idx.size
-        np.take(o, idx, out=order[zeros:end])  # take copies when out overlaps
-        np.take(c, idx, out=sc[zeros:end])
-        zeros = end
-    size = zeros + ones
-    order[zeros:size] = side[0, :ones]
-    sc[zeros:size] = side[1, :ones]
-    sc[zeros:size] |= 1 << (k - 1)
-    order[:size] -= 1
+        moved = buf.moved[:, : idx.size]  # take would copy an out that overlaps
+        np.take(o, idx, out=moved[0], mode="clip")
+        np.take(c, idx, out=moved[1], mode="clip")
+        pair[:, zeros : zeros + idx.size] = moved
+        zeros += idx.size
+    pair[:, zeros : zeros + ones] = side[:, :ones]
 
 
 def _chunk_peaks(
-    order: np.ndarray, sc: np.ndarray, k: int, a: int, first: int, groups: int
+    order: np.ndarray, ck: np.ndarray, k: int, a: int, first: int, groups: int,
+    buf: _Buffers,
 ) -> tuple[np.ndarray, np.ndarray, int, bool]:
     """Positions a .. b-1 (b = min(a+CHUNK, m)) of the windows' stable order
-    by code: the start of each group of equal codes there (the first one
-    from `first`, the start of the group holding position a) followed by b
-    when the last group ends at b, each group's largest term there, the
-    number of groups started before b, from the `groups` started before a,
-    and whether all 2^k codes may still occur.
+    by code, whose codes it leaves in buf.codes: the start, less a, of each
+    group of equal codes there (the first one from `first`, the start of
+    the group holding position a) followed by b - a when the last group
+    ends at b, each group's largest term there plus k, the number of
+    groups started before b, from the `groups` started before a, and
+    whether all 2^k codes may still occur.
 
-    Position p of a group starting at s holds window i = order[p] with
-    occurrence rank r = p - s + 1, so with q[p] = p*2^k - i, the term as it
-    arrives is 2^k*r - (i+1) = q[p] - s*2^k + 2^k - 1 and the term just
-    before it arrives is i - 2^k*(r-1) = s*2^k - q[p]. The second is read
-    only while the codes so far are exactly 0, 1, ..., groups - 1: a missing
-    code peaks at the last step m, above it.
+    Position p of a group starting at s holds the window ending at
+    e = order[p], i = e - k, with occurrence rank r = p - s + 1, so with
+    q[p] = p*2^k - e, the term as it arrives is 2^k*r - (i+1) =
+    q[p] - s*2^k + 2^k + k - 1 and the term just before it arrives is
+    i - 2^k*(r-1) = s*2^k - q[p] - k. The second is read only while the
+    codes so far are exactly 0, 1, ..., groups - 1: a missing code peaks
+    at the last step m, above it.
     """
-    m = sc.shape[0]
+    m = order.shape[0]
     b = min(a + CHUNK, m)
     e = min(b + 1, m)
-    new = np.ones(b - a + 1, dtype=bool)  # new[b-a] stays True at b = m
-    np.not_equal(sc[a + 1 : e], sc[a : e - 1], out=new[1 : e - a])
-    bounds = np.flatnonzero(new)
-    segs = bounds[:-1] if new[-1] else bounds
-    starts = bounds + a if a else bounds
-    starts[0] = first
-    groups += segs.size - (first < a)
-    q = np.arange(a << k, b << k, 1 << k, dtype=np.int64)
-    q -= order[a:b]
-    base = starts[: segs.size] << k
-    peaks = np.maximum.reduceat(q, segs)
-    peaks -= base
-    peaks += (1 << k) - 1
-    full = groups == 1 << k if b == m else sc[b - 1] == groups - 1
+    size = b - a
+    codes = np.bitwise_and(ck[a:e], (1 << k) - 1, out=buf.codes[: e - a])
+    new = buf.new[: size + 1]  # whether a group starts at each of a .. b
+    new[0] = new[size] = True  # new[size] stays True at b = m
+    np.not_equal(codes[1:], codes[:-1], out=new[1 : e - a])
+    starts = np.flatnonzero(new)  # from a; the last is b - a if new[size]
+    g = starts.size - int(new[size])  # the groups with positions here
+    groups += g - (first < a)
+    full = groups == 1 << k if b == m else int(codes[size - 1]) == groups - 1
+    q = np.left_shift(buf.ramp[:size], k, out=buf.dev[:size])
+    q -= order[a:b]  # q[p] less a*2^k, as every start below is less a
+    peaks = np.maximum.reduceat(q, starts[:g], out=buf.peaks[:g])
     if full:
-        lows = np.minimum.reduceat(q, segs)
+        lows = np.minimum.reduceat(q, starts[:g], out=buf.sizes[:g])
+    starts[0] = first - a
+    base = np.left_shift(starts[:g], k, out=buf.base[:g])
+    peaks -= base
+    peaks += (1 << k) - 1 + 2 * k  # plus k, as base - lows is too
+    if full:
         np.maximum(peaks, np.subtract(base, lows, out=lows), out=peaks)
     return starts, peaks, groups, full
 
 
-def _first_missing(sc: np.ndarray) -> int:
-    """The smallest code absent from the sorted codes sc."""
+def _first_missing(ck: np.ndarray, mask: int, buf: _Buffers) -> int:
+    """The smallest code absent from the codes ck & mask, sorted ascending."""
     x = 0  # every code below x occurs
-    for a in range(0, sc.shape[0], CHUNK):
-        block = sc[a : a + CHUNK]
+    for a in range(0, ck.shape[0], CHUNK):
+        c = ck[a : a + CHUNK]
+        block = np.bitwise_and(c, mask, out=buf.codes[: c.size])
         gaps = np.flatnonzero(np.diff(block, prepend=x - 1) > 1)
         if gaps.size:
             return x if gaps[0] == 0 else int(block[gaps[0] - 1]) + 1
@@ -297,13 +336,14 @@ def _first_missing(sc: np.ndarray) -> int:
 
 
 def _scan_k(
-    order: np.ndarray, sc: np.ndarray, k: int, best: Optional[tuple[int, ...]]
+    order: np.ndarray, ck: np.ndarray, k: int, best: Optional[tuple[int, ...]],
+    buf: _Buffers,
 ) -> tuple[int, Optional[tuple[int, int, int]], int]:
     """This k's maximum scaled deviation max_{X,M} |2^k*T(M,X) - M|, if it
     beats `best` = (num, k, ...) the smallest (pattern, M, T) attaining it
     (never when best is None), and the size of the largest group of equal
-    codes, from the windows' stable order by code and the codes in that
-    order, one chunk of positions at a time.
+    codes, from the windows' stable order by code and their preceding
+    digits in that order, one chunk of positions at a time.
 
     A pattern's deviation peaks as one of its windows arrives, just before
     one arrives (both read by _chunk_peaks) or at the last step m, at m -
@@ -314,23 +354,25 @@ def _scan_k(
     end term is the peak, or the first missing code when m is; then x's
     windows give M and T.
     """
-    m = sc.shape[0]
-    first = groups = 0  # the start of the last group started; groups started
+    m = order.shape[0]
+    mask = (1 << k) - 1
+    first = groups = 0  # the start of the group holding a; groups started
     top, lead = -1, None  # the largest term, and the first chunk reaching it
     gmax, gmin, xmin = 0, m + 1, 0  # group sizes; the first smallest's code
     for a in range(0, m, CHUNK):
-        starts, peaks, after, full = _chunk_peaks(order, sc, k, a, first, groups)
-        here = int(peaks.max())
+        starts, peaks, after, full = _chunk_peaks(order, ck, k, a, first, groups, buf)
+        here = int(peaks.max()) - k
         if here > top:
             top, lead = here, (a, first, groups)
-        sizes = starts[1:] - starts[:-1]  # the groups that end by b
+        # the sizes of the groups that end by b
+        sizes = np.subtract(starts[1:], starts[:-1], out=buf.sizes[: starts.size - 1])
         if sizes.size:
             gmax = max(gmax, int(sizes.max()))
             if full:  # the end terms count only then
                 j = int(sizes.argmin())
                 if sizes[j] < gmin:
-                    gmin, xmin = int(sizes[j]), int(sc[starts[j]])
-        first, groups = int(starts[-1]), after
+                    gmin, xmin = int(sizes[j]), int(buf.codes[max(starts[j], 0)])
+        first, groups = a + int(starts[-1]), after
     full = groups == 1 << k
     end = m - (gmin << k) if full else m
     num = max(top, end)
@@ -338,18 +380,19 @@ def _scan_k(
         return num, None, gmax
     xs = []
     if top == num:
-        starts, peaks = _chunk_peaks(order, sc, k, *lead)[:2]
-        xs.append(int(sc[starts[int(np.argmax(peaks == num))]]))
+        starts, peaks = _chunk_peaks(order, ck, k, *lead, buf)[:2]
+        xs.append(int(buf.codes[max(starts[int(np.argmax(peaks == num + k))], 0)]))
     if end == num:
-        xs.append(xmin if full else _first_missing(sc))
+        xs.append(xmin if full else _first_missing(ck, mask, buf))
     x = min(xs)
-    s, e = (int(v) for v in np.searchsorted(sc, np.array([x, x + 1], np.int32)))
+    s, e = _position(ck, mask, x), _position(ck, mask, x + 1)
     for a in range(s, e, CHUNK):
         b = min(a + CHUNK, e)
-        d = np.arange((a - s + 1) << k, (b - s + 1) << k, 1 << k, dtype=np.int64)
+        d = np.left_shift(buf.ramp[: b - a], k, out=buf.dev[: b - a])
+        d += ((a - s + 1) << k) + k
         d -= order[a:b]  # 2^k*r - i over x's windows i
         hits = [
-            (int(order[a + j]) + step, a - s + int(j) + step)
+            (int(order[a + j]) - k + step, a - s + int(j) + step)
             for target, step in ((num + 1, 1), ((1 << k) - num, 0))  # arrival, just before
             for j in np.flatnonzero(d == target)[:1]
         ]
@@ -358,23 +401,51 @@ def _scan_k(
     return num, (x, m, e - s), gmax
 
 
+def _preceding_digits(
+    bits: np.ndarray, width: int, ck: np.ndarray, buf: _Buffers
+) -> None:
+    """Set ck[i] for i = 0 .. n to at least `width` of the digits before
+    position i as a binary number, digit i-1 lowest, reading zeros before
+    position 0. Built by doubling the digits read, high chunks first, so
+    each chunk reads entries not yet doubled."""
+    n = bits.shape[0]
+    ck[0] = 0
+    ck[1:] = bits
+    # unsigned, as the top digit may land on bit 31
+    wide, part = ck.view(np.uint32), buf.codes.view(np.uint32)
+    w = 1  # digits read so far
+    while w < width:
+        for b in range(n + 1, w, -CHUNK):
+            a = max(b - CHUNK, w)
+            high = np.left_shift(wide[a - w : b - w], w, out=part[: b - a])
+            np.bitwise_or(wide[a:b], high, out=wide[a:b])
+        w <<= 1
+
+
 def _sorted_windows(seq: BitSequence):
-    """(k, the windows' stable order by code, their codes in that order) for
-    k = 1 .. floor(log2 N), each k's carry run only when k is asked for.
-    Every k's pair is a view of one pair of n+1 entries, carried in place."""
+    """(k, the windows' stable order by code, their preceding digits in
+    that order, the call's chunk buffers) for k = 1 .. floor(log2 N), each
+    k's carry run only when k is asked for. Every k's pair is a view of
+    one pair of n+1 entries, carried in place. Window i of length k is
+    held by its end i+k in the order and carries the digits before
+    position i+k, so its code is their low k bits."""
     n = len(seq)
+    kmax = max_block_length(n)
     bits = seq.to_numpy()
-    # the n+1 empty windows (k = 0), all with code 0
-    order = np.arange(n + 1, dtype=np.int32)
-    sc = np.zeros(n + 1, dtype=np.int32)
+    buf = _Buffers(n)
+    pair = np.empty((2, n + 1), dtype=np.int32)
+    order, ck = pair
+    for a in range(0, n + 1, CHUNK):  # the n+1 empty windows (k = 0), by ends
+        part = order[a : a + CHUNK]
+        np.add(buf.ramp[: part.size], a, out=part)
+    _preceding_digits(bits, kmax, ck, buf)
     side = np.empty((2, np.count_nonzero(bits)), dtype=np.int32)
     code0 = 0  # the code of window 0
-    prev = np.concatenate((np.zeros(1, bits.dtype), bits)).view(bool)  # bits[j-1]
-    for k in range(1, max_block_length(n) + 1):
+    for k in range(1, kmax + 1):
         size = n + 1 - k
-        _carry(order[: size + 1], sc[: size + 1], code0, prev, k, side)
+        _carry(pair[:, : size + 1], code0, k, side, buf)
         code0 = (code0 << 1) | int(bits[k - 1])
-        yield k, order[:size], sc[:size]
+        yield k, order[:size], ck[:size], buf
 
 
 def normality_fast(seq: BitSequence) -> NormalityReport:
@@ -385,8 +456,8 @@ def normality_fast(seq: BitSequence) -> NormalityReport:
         return _empty_report(n)
     per_k: list[tuple[int, ExactValue]] = []
     best: tuple[int, ...] = (-1, 0)  # num, k, x, m, t; k = 1 beats it
-    for k, order, sc in _sorted_windows(seq):
-        num, found, _ = _scan_k(order, sc, k, best)
+    for k, order, ck, buf in _sorted_windows(seq):
+        num, found, _ = _scan_k(order, ck, k, best, buf)
         per_k.append((k, ExactValue(num, k)))
         if found is not None:
             best = (num, k, *found)
@@ -413,8 +484,8 @@ def normality_value(seq: BitSequence) -> ExactValue:
     for k in range(1, max_block_length(n) + 1):
         if g << bk <= num:
             break
-        _, order, sc = next(windows)
-        cand, _, g = _scan_k(order, sc, k, None)
+        _, order, ck, buf = next(windows)
+        cand, _, g = _scan_k(order, ck, k, None, buf)
         if _better(cand, k, num, bk):
             num, bk = cand, k
     return ExactValue(num, bk)

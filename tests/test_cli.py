@@ -280,6 +280,7 @@ _RUN_REFUSES = [
     ["measure", "--gen", "file:{dir}", "--n", "8"],
     ["measure", "--input", "{dir}"],
     ["measure", "--gen", "random:1", "--n", "-1"],
+    ["measure", "--gen", "random:1", "--n", "65537", "--algorithm", "naive"],
     ["measure", "--bits", "012"],
     ["measure", "--bits", "hex:zz/4"],
     ["measure", "--bits", "hex:1/9"],

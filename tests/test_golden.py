@@ -5,8 +5,10 @@ tests/golden/.
 `measure` runs both evaluators on Champernowne, random:1, 1/3 and all
 zeros at N = 1000 and N = 4096 (where 2^12 patterns exceed the 4085
 windows of length 12), and `normality_fast` on payloads that span many
-chunks of positions: random:1 at N = 2^20, and all zeros at N = 2^18 - 1,
-whose witness is at the top k. `scan` runs at N = 256 and at perfbench's
+chunks of positions: random:1 at N = 2^20; Champernowne at N = 2^20,
+structured digits whose top k's lack patterns, so whether all 2^k occur
+is decided across chunks; and all zeros at N = 2^18 - 1, whose witness
+is at the top k. `scan` runs at N = 256 and at perfbench's
 N = 4096 with 200 samples. `search-min` runs n = 2..12 in both formats,
 and n = 1..51, the whole range it admits, in JSON. `generate` runs four
 generators.
@@ -91,7 +93,11 @@ def _cases() -> list[tuple[str, list[str]]]:
                     argv = ["measure", "--gen", gen, "--n", str(n), "--format", fmt]
                     argv += ["--algorithm", alg]
                     cases.append((f"measure_{_tag(gen)}_n{n}_{alg}.{fmt}", argv))
-        for gen, n in (("random:1", 1 << 20), ("rational:0/1", (1 << 18) - 1)):
+        for gen, n in (
+            ("random:1", 1 << 20),
+            ("champernowne", 1 << 20),
+            ("rational:0/1", (1 << 18) - 1),
+        ):
             argv = ["measure", "--gen", gen, "--n", str(n), "--format", fmt]
             cases.append((f"measure_{_tag(gen)}_n{n}_fast.{fmt}", argv))
         argv = ["search-min", "--n", "2..12", "--format", fmt]

@@ -142,6 +142,16 @@ def window_codes(bits: np.ndarray, k: int) -> np.ndarray:
     return codes
 
 
+def preceding_digits(bits: np.ndarray, width: int) -> np.ndarray:
+    """digits[i] = the `width` digits before position i read as a binary
+    number, digit i-1 lowest, with zeros before position 0."""
+    padded = np.concatenate((np.zeros(width, np.int64), bits))
+    digits = np.zeros(bits.size + 1, dtype=np.int64)
+    for j in range(width):
+        digits = (digits << 1) | padded[j : j + bits.size + 1]
+    return digits
+
+
 CARRY_CASES = [
     ("0", 300), ("1", 300), ("rational:1/3", 500), ("rational:1/7", 777),
     ("champernowne", 1000), ("random:5", 2), ("random:6", 3), ("random:7", 7),
@@ -156,20 +166,27 @@ def test_carried_order_is_stable_sort(spec, n, monkeypatch):
     seen = []
     scan = measure._scan_k
 
-    def spy(order, sc, k, best):
-        seen.append((k, order.copy(), sc.copy()))
-        return scan(order, sc, k, best)
+    def spy(order, ck, k, *rest):
+        seen.append((k, order.copy(), ck.copy()))
+        return scan(order, ck, k, *rest)
 
     monkeypatch.setattr(measure, "_scan_k", spy)
     seq = sequence(spec, n)
     normality_fast(seq)
     bits = seq.to_numpy().astype(np.int64)
-    assert [k for k, _, _ in seen] == list(range(1, max_block_length(n) + 1))
-    for k, order, sc in seen:
+    kmax = max_block_length(n)
+    assert [k for k, _, _ in seen] == list(range(1, kmax + 1))
+    for k, order, ck in seen:
         codes = window_codes(bits, k)
-        assert order.dtype == sc.dtype == np.int32
-        np.testing.assert_array_equal(order, np.argsort(codes, kind="stable"))
-        np.testing.assert_array_equal(sc, codes[order])
+        assert order.dtype == ck.dtype == np.int32
+        # each window i is held by its end i + k
+        windows = order - k
+        np.testing.assert_array_equal(windows, np.argsort(codes, kind="stable"))
+        # the low k bits are the code, and the floor(log2 n) - k bits above
+        # them the digits just before the window
+        np.testing.assert_array_equal(ck & ((1 << k) - 1), codes[windows])
+        before = preceding_digits(bits, kmax - k)[windows]
+        np.testing.assert_array_equal((ck & ((1 << kmax) - 1)) >> k, before)
 
 
 @pytest.mark.parametrize("spec,n", CARRY_CASES)
@@ -214,9 +231,9 @@ class TestChunkEdges:
 @pytest.mark.parametrize("evaluate", [normality_fast, normality_value])
 @pytest.mark.parametrize("spec", ["random:1", "champernowne", "1"])
 def test_memory_per_digit(spec, evaluate):
-    # One pair of int32 window orders and codes (8 bytes a digit), the
-    # shifted digits (1), the ones' side buffer (8 bytes a one) and arrays
-    # of one chunk; the digits themselves are not counted.
+    # One pair of int32 window orders and preceding digits (8 bytes a
+    # digit), the ones' side buffer (8 bytes a one), the chunk buffers and
+    # index arrays of one chunk; the digits themselves are not counted.
     n = 1 << 20
     seq = sequence(spec, n)
     tracemalloc.start()
@@ -248,9 +265,9 @@ class TestValueOnly:
         seen = []
         scan = measure._scan_k
 
-        def spy(order, sc, k, best):
+        def spy(order, ck, k, *rest):
             seen.append(k)
-            return scan(order, sc, k, best)
+            return scan(order, ck, k, *rest)
 
         monkeypatch.setattr(measure, "_scan_k", spy)
         normality_value(seq)
