@@ -18,13 +18,14 @@ provided:
   are read once, before the first pass. In that order a window's
   occurrence rank is its position within its group of equal codes, so
   each side of every pattern is one segmented maximum or minimum over
-  the groups; nothing is scattered back to window order. When a k takes
-  the lead, the witness is read off the first pattern at the peak. Every
-  k's order and digits overwrite k-1's in one pair of N+1 int32 entries;
-  the carry and the scan walk the positions one chunk at a time and
-  write into one set of chunk buffers per call. Besides them and the
-  pair, a call holds a side buffer of two int32 per digit equal to 1,
-  and index arrays of one chunk.
+  the groups; nothing is scattered back to window order. The scan reads
+  each chunk once per k and notes the witness candidates as it meets
+  them; when a k takes the lead, only the witness pattern's windows are
+  read again. Every k's order and digits overwrite k-1's in one pair of
+  N+1 int32 entries; the carry and the scan walk the positions one chunk
+  at a time and write into one set of chunk buffers per call. Besides
+  them and the pair, a call holds a side buffer of two int32 per digit
+  equal to 1, and index arrays of one chunk.
 * :func:`normality_value` runs the same passes for the value alone and
   stops before the pass for k once G <= B, where B is the best value over
   the k's before it and G the largest group of equal codes among the
@@ -173,7 +174,7 @@ def normality_naive(seq: BitSequence) -> NormalityReport:
         marr = np.arange(1, width + 1, dtype=dt)
         npat = 1 << k
         # Chunk the pattern axis to bound the (patterns x M) work matrix.
-        chunk = max(1, min(npat, (1 << 21) // width))
+        chunk = max(1, min(npat, (1 << 14) // width))
         k_best: Optional[tuple[int, int, int, int]] = None  # num, x, m, t
         for x0 in range(0, npat, chunk):
             xs = np.arange(x0, min(x0 + chunk, npat), dtype=codes.dtype)
@@ -206,8 +207,7 @@ def normality_naive(seq: BitSequence) -> NormalityReport:
 
 # Positions per chunk: the carry and the scan walk the positions this many
 # at a time and write into the call's chunk buffers. The arrays they make
-# per chunk are flatnonzero's index arrays, of at most 8*CHUNK bytes, and,
-# for a witness, _first_missing's differences.
+# per chunk are flatnonzero's index arrays, of at most 8*CHUNK bytes.
 CHUNK = 1 << 15
 
 
@@ -248,12 +248,8 @@ def _carry(
     far; the ones then fill the tail.
     """
     order, ck = pair
-    # window 0 has the smallest end, k-1, in the chunk before the first
-    # chunk start whose code is at least code0 (or in the first chunk)
-    starts = range(0, order.size, CHUNK)
-    j = bisect_left(starts, code0, key=lambda a: ck.item(a) & ((1 << (k - 1)) - 1))
-    a = starts[j - 1] if j else 0
-    drop = a + int(order[a : a + CHUNK + 1].argmin())
+    # window 0 has the smallest end, k-1, so it comes first in its group
+    drop = _position(ck, (1 << (k - 1)) - 1, code0)
     zeros = ones = 0
     for a in range(0, order.size, CHUNK):
         o, c = order[a : a + CHUNK], ck[a : a + CHUNK]
@@ -276,65 +272,6 @@ def _carry(
     pair[:, zeros : zeros + ones] = side[:, :ones]
 
 
-def _chunk_peaks(
-    order: np.ndarray, ck: np.ndarray, k: int, a: int, first: int, groups: int,
-    buf: _Buffers,
-) -> tuple[np.ndarray, np.ndarray, int, bool]:
-    """Positions a .. b-1 (b = min(a+CHUNK, m)) of the windows' stable order
-    by code, whose codes it leaves in buf.codes: the start, less a, of each
-    group of equal codes there (the first one from `first`, the start of
-    the group holding position a) followed by b - a when the last group
-    ends at b, each group's largest term there plus k, the number of
-    groups started before b, from the `groups` started before a, and
-    whether all 2^k codes may still occur.
-
-    Position p of a group starting at s holds the window ending at
-    e = order[p], i = e - k, with occurrence rank r = p - s + 1, so with
-    q[p] = p*2^k - e, the term as it arrives is 2^k*r - (i+1) =
-    q[p] - s*2^k + 2^k + k - 1 and the term just before it arrives is
-    i - 2^k*(r-1) = s*2^k - q[p] - k. The second is read only while the
-    codes so far are exactly 0, 1, ..., groups - 1: a missing code peaks
-    at the last step m, above it.
-    """
-    m = order.shape[0]
-    b = min(a + CHUNK, m)
-    e = min(b + 1, m)
-    size = b - a
-    codes = np.bitwise_and(ck[a:e], (1 << k) - 1, out=buf.codes[: e - a])
-    new = buf.new[: size + 1]  # whether a group starts at each of a .. b
-    new[0] = new[size] = True  # new[size] stays True at b = m
-    np.not_equal(codes[1:], codes[:-1], out=new[1 : e - a])
-    starts = np.flatnonzero(new)  # from a; the last is b - a if new[size]
-    g = starts.size - int(new[size])  # the groups with positions here
-    groups += g - (first < a)
-    full = groups == 1 << k if b == m else int(codes[size - 1]) == groups - 1
-    q = np.left_shift(buf.ramp[:size], k, out=buf.dev[:size])
-    q -= order[a:b]  # q[p] less a*2^k, as every start below is less a
-    peaks = np.maximum.reduceat(q, starts[:g], out=buf.peaks[:g])
-    if full:
-        lows = np.minimum.reduceat(q, starts[:g], out=buf.sizes[:g])
-    starts[0] = first - a
-    base = np.left_shift(starts[:g], k, out=buf.base[:g])
-    peaks -= base
-    peaks += (1 << k) - 1 + 2 * k  # plus k, as base - lows is too
-    if full:
-        np.maximum(peaks, np.subtract(base, lows, out=lows), out=peaks)
-    return starts, peaks, groups, full
-
-
-def _first_missing(ck: np.ndarray, mask: int, buf: _Buffers) -> int:
-    """The smallest code absent from the codes ck & mask, sorted ascending."""
-    x = 0  # every code below x occurs
-    for a in range(0, ck.shape[0], CHUNK):
-        c = ck[a : a + CHUNK]
-        block = np.bitwise_and(c, mask, out=buf.codes[: c.size])
-        gaps = np.flatnonzero(np.diff(block, prepend=x - 1) > 1)
-        if gaps.size:
-            return x if gaps[0] == 0 else int(block[gaps[0] - 1]) + 1
-        x = int(block[-1]) + 1
-    return x
-
-
 def _scan_k(
     order: np.ndarray, ck: np.ndarray, k: int, best: Optional[tuple[int, ...]],
     buf: _Buffers,
@@ -343,47 +280,74 @@ def _scan_k(
     beats `best` = (num, k, ...) the smallest (pattern, M, T) attaining it
     (never when best is None), and the size of the largest group of equal
     codes, from the windows' stable order by code and their preceding
-    digits in that order, one chunk of positions at a time.
+    digits in that order, in one pass over the positions a chunk at a time.
 
-    A pattern's deviation peaks as one of its windows arrives, just before
-    one arrives (both read by _chunk_peaks) or at the last step m, at m -
-    2^k*size. A missing pattern peaks at m, above every present one's last
-    two, so those are read only when all 2^k patterns occur. The witness
-    pattern x is the smallest code at the peak: the code at the first
-    position at the peak, the first group with the smallest size when its
-    end term is the peak, or the first missing code when m is; then x's
-    windows give M and T.
+    Position p of a group starting at s holds the window ending at
+    e = order[p], i = e - k, with occurrence rank r = p - s + 1, so with
+    q[p] = p*2^k - e, the term as it arrives is 2^k*r - (i+1) =
+    q[p] - s*2^k + 2^k + k - 1 and the term just before it arrives is
+    i - 2^k*(r-1) = s*2^k - q[p] - k; the last term, at step m, is
+    m - 2^k*size. A missing pattern's last term is m, above every present
+    one's last two, so those are read only while the codes so far are
+    exactly 0, 1, ..., groups - 1. The witness pattern x is the smallest
+    code at the peak, noted as the pass meets it: the first group at the
+    largest term, the first group of the smallest size when its last term
+    is the peak, or the first missing code when m is; then x's windows
+    give M and T.
     """
     m = order.shape[0]
     mask = (1 << k) - 1
-    first = groups = 0  # the start of the group holding a; groups started
-    top, lead = -1, None  # the largest term, and the first chunk reaching it
+    first = groups = 0  # the start of the group holding a; groups started before a
+    top = xtop = xmiss = -1  # the largest term, its first code; the first missing
     gmax, gmin, xmin = 0, m + 1, 0  # group sizes; the first smallest's code
     for a in range(0, m, CHUNK):
-        starts, peaks, after, full = _chunk_peaks(order, ck, k, a, first, groups, buf)
-        here = int(peaks.max()) - k
-        if here > top:
-            top, lead = here, (a, first, groups)
+        b = min(a + CHUNK, m)
+        e = min(b + 1, m)
+        size = b - a
+        codes = np.bitwise_and(ck[a:e], mask, out=buf.codes[: e - a])
+        new = buf.new[: size + 1]  # whether a group starts at each of a .. b
+        new[0] = new[size] = True  # new[size] stays True at b = m
+        np.not_equal(codes[1:], codes[:-1], out=new[1 : e - a])
+        starts = np.flatnonzero(new)  # from a; the last is b - a if new[size]
+        g = starts.size - int(new[size])  # the groups with positions here
+        groups += g - (first < a)
+        if xmiss < 0 and not (
+            groups == 1 << k if b == m else int(codes[size - 1]) == groups - 1
+        ):  # the first group here whose code is past its index, else groups
+            lag = groups - g  # the first group's index; every code below it occurs
+            xmiss = lag + bisect_left(
+                range(g), True, key=lambda j: codes.item(starts.item(j)) - j > lag
+            )
+        q = np.left_shift(buf.ramp[:size], k, out=buf.dev[:size])
+        q -= order[a:b]  # q[p] less a*2^k, as every start below is less a
+        peaks = np.maximum.reduceat(q, starts[:g], out=buf.peaks[:g])
+        if xmiss < 0:
+            lows = np.minimum.reduceat(q, starts[:g], out=buf.sizes[:g])
+        starts[0] = first - a
+        base = np.left_shift(starts[:g], k, out=buf.base[:g])
+        peaks -= base
+        peaks += (1 << k) - 1 + 2 * k  # plus k, as base - lows is too
+        if xmiss < 0:
+            np.maximum(peaks, np.subtract(base, lows, out=lows), out=peaks)
+        j = int(peaks.argmax())  # the first group at the chunk's largest term
+        if peaks[j] - k > top:
+            top, xtop = int(peaks[j]) - k, int(codes[max(starts[j], 0)])
         # the sizes of the groups that end by b
         sizes = np.subtract(starts[1:], starts[:-1], out=buf.sizes[: starts.size - 1])
         if sizes.size:
             gmax = max(gmax, int(sizes.max()))
-            if full:  # the end terms count only then
+            if xmiss < 0:  # the last terms count only then
                 j = int(sizes.argmin())
                 if sizes[j] < gmin:
-                    gmin, xmin = int(sizes[j]), int(buf.codes[max(starts[j], 0)])
-        first, groups = a + int(starts[-1]), after
-    full = groups == 1 << k
-    end = m - (gmin << k) if full else m
+                    gmin, xmin = int(sizes[j]), int(codes[max(starts[j], 0)])
+        first = a + int(starts[-1])
+    end = m - (gmin << k) if xmiss < 0 else m
     num = max(top, end)
     if best is None or not _better(num, k, best[0], best[1]):
         return num, None, gmax
-    xs = []
-    if top == num:
-        starts, peaks = _chunk_peaks(order, ck, k, *lead, buf)[:2]
-        xs.append(int(buf.codes[max(starts[int(np.argmax(peaks == num + k))], 0)]))
+    xs = [xtop] if top == num else []
     if end == num:
-        xs.append(xmin if full else _first_missing(ck, mask, buf))
+        xs.append(xmin if xmiss < 0 else xmiss)
     x = min(xs)
     s, e = _position(ck, mask, x), _position(ck, mask, x + 1)
     for a in range(s, e, CHUNK):
@@ -402,23 +366,22 @@ def _scan_k(
 
 
 def _preceding_digits(
-    bits: np.ndarray, width: int, ck: np.ndarray, buf: _Buffers
+    bits: np.ndarray, width: int, out: np.ndarray, part: np.ndarray
 ) -> None:
-    """Set ck[i] for i = 0 .. n to at least `width` of the digits before
+    """Set out[i] for i = 0 .. n to at least `width` of the digits before
     position i as a binary number, digit i-1 lowest, reading zeros before
-    position 0. Built by doubling the digits read, high chunks first, so
-    each chunk reads entries not yet doubled."""
+    position 0; digits past out's unsigned type shift out. Built by
+    doubling the digits read, high chunks first, so each chunk reads
+    entries not yet doubled, with the scratch `part` of one chunk."""
     n = bits.shape[0]
-    ck[0] = 0
-    ck[1:] = bits
-    # unsigned, as the top digit may land on bit 31
-    wide, part = ck.view(np.uint32), buf.codes.view(np.uint32)
+    out[0] = 0
+    out[1:] = bits
     w = 1  # digits read so far
     while w < width:
         for b in range(n + 1, w, -CHUNK):
             a = max(b - CHUNK, w)
-            high = np.left_shift(wide[a - w : b - w], w, out=part[: b - a])
-            np.bitwise_or(wide[a:b], high, out=wide[a:b])
+            high = np.left_shift(out[a - w : b - w], w, out=part[: b - a])
+            np.bitwise_or(out[a:b], high, out=out[a:b])
         w <<= 1
 
 
@@ -438,7 +401,8 @@ def _sorted_windows(seq: BitSequence):
     for a in range(0, n + 1, CHUNK):  # the n+1 empty windows (k = 0), by ends
         part = order[a : a + CHUNK]
         np.add(buf.ramp[: part.size], a, out=part)
-    _preceding_digits(bits, kmax, ck, buf)
+    # unsigned, as the top digit may land on bit 31
+    _preceding_digits(bits, kmax, ck.view(np.uint32), buf.codes.view(np.uint32))
     side = np.empty((2, np.count_nonzero(bits)), dtype=np.int32)
     code0 = 0  # the code of window 0
     for k in range(1, kmax + 1):

@@ -29,7 +29,9 @@ import numpy as np
 from .bitcore import BitSequence, ExactValue, Pattern, frac_dict
 from .discrepancy import PointSet, check_prefix_n, phi_envelope
 from .generators import DigitStream, StreamExhausted
-from .measure import MAX_MEASURE_N, max_block_length, normality_value
+from .measure import (
+    CHUNK, MAX_MEASURE_N, _preceding_digits, max_block_length, normality_value,
+)
 
 __all__ = [
     "CheckpointResult",
@@ -42,12 +44,15 @@ __all__ = [
 
 
 def _window_numerators(bits: np.ndarray, count: int, w: int) -> np.ndarray:
-    """Numerators of the w-bit truncated orbit points over denominator 2^w."""
-    out = np.zeros(count, dtype=np.uint64)
-    src = bits.astype(np.uint64)
-    for j in range(w):
-        out = (out << np.uint64(1)) | src[j : j + count]
-    return out
+    """Numerators of the w-bit truncated orbit points over denominator 2^w.
+    The point at index n reads digits n .. n+w-1: the w digits before
+    position n + w, digit n + w - 1 lowest, which is the measure's packing
+    of preceding digits masked to w bits."""
+    out = np.empty(bits.shape[0] + 1, dtype=np.uint64)
+    _preceding_digits(bits, w, out, np.empty(min(CHUNK, out.size), dtype=np.uint64))
+    nums = out[w : w + count]
+    nums &= np.uint64((1 << w) - 1)
+    return nums
 
 
 def _check_window(n: int, w: int) -> None:

@@ -215,10 +215,21 @@ class TestChunkEdges:
             assert reports_equal(normality_fast(seq), rep), seq.to01()
             assert normality_value(seq) == rep.value, seq.to01()
 
-    @pytest.mark.parametrize("spec,n", [("1", 9000), ("0", 9000), ("random:3", 9000)])
+    @pytest.mark.parametrize(
+        "spec,n",
+        [
+            ("1", 9000),
+            ("0", 9000),
+            ("random:3", 9000),
+            ("rational:1/3", 9000),
+            ("champernowne", 9000),
+        ],
+    )
     def test_long(self, spec, n, monkeypatch):
         # All ones fills the ones' side buffer; all zeros puts the witness
-        # group, of n+1-k windows, across every chunk.
+        # group, of n+1-k windows, across every chunk; 1/3's witness is a
+        # missing pattern at the last step, and Champernowne has every
+        # pattern at the low k's and misses some at the top ones.
         seq = sequence(spec, n)
         whole = normality_fast(seq)  # one chunk: n < CHUNK
         monkeypatch.setattr(measure, "CHUNK", 1 << 8)

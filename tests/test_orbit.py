@@ -10,9 +10,11 @@ from normbits.discrepancy import (
     phi_envelope,
     prefix_deviation_numerators,
 )
+from normbits import measure
 from normbits.generators import DigitStream, GeneratorSpec
 from normbits.measure import count_occurrences, normality_naive
 from normbits.orbit import (
+    _window_numerators,
     count_via_orbit,
     default_checkpoints,
     lemma1_verify,
@@ -51,6 +53,24 @@ class TestOrbitPoints:
     def test_window_bounds(self):
         with pytest.raises(ValueError):
             orbit_points(stream("rational:1/3"), 4, 65)
+
+    @pytest.mark.parametrize("chunk", [1, 3, None])
+    @pytest.mark.parametrize("w", [1, 2, 31, 32, 33, 63, 64])
+    def test_window_numerators_pack_msb_first(self, w, chunk, monkeypatch):
+        # The measure's packer, chunk by chunk, against the w digits from
+        # each position read most significant first; at the default chunk
+        # size the points span two chunks.
+        if chunk is not None:
+            monkeypatch.setattr(measure, "CHUNK", chunk)
+        count = 40 if chunk else measure.CHUNK + 40
+        for text in ("random:1", "champernowne", "rational:1/3"):
+            bits = stream(text).prefix(count + w - 1).to_numpy()
+            want, v = [], 0
+            for i, bit in enumerate(bits.tolist()):
+                v = ((v << 1) | bit) & ((1 << w) - 1)
+                if i >= w - 1:
+                    want.append(v)
+            assert _window_numerators(bits, count, w).tolist() == want, text
 
 
 class TestCountViaOrbit:
