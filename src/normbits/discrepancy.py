@@ -26,16 +26,15 @@ a_(1) = 0, whose left-limit is the boundary t = 0 itself. So
 M*den*D = max f - min f + den, and the first ranks that attain max f and
 min f are the witness ends a sweep in boundary order would pick.
 
-For den = 2^w, f needs up to w + log2(M) bits. The kernel splits
-a = ah*2^s + al with s = max(0, w - 32) and evaluates the int64
-hi_i = i*2^(w-s) - M*ah_i. Since f_i = 2^s*hi_i - M*al_i with
-0 <= al_i < 2^s, f_i lies in (2^s*(hi_i - M), 2^s*hi_i]: only ranks with
-hi_i > max(hi) - M can attain max f, and only ranks with
-hi_i < min(hi) + M can attain min f. Those few are finished in Python
-ints; for w <= 32, s = 0 and hi is f. The kernel serves a single set
-(M = N after one sort), every step of the all-prefix engine (M = m
-after one sorted insert) and each prefix that phi_envelope evaluates
-(M = j after compressing the once-sorted points by arrival index).
+For den = 2^w, f needs up to w + log2(M) bits. Given the sorted numerators
+alone, the kernel writes their high parts a_i >> s, s = max(0, w - 32),
+into its int64 scratch and evaluates hi_i = i*2^(w-s) - M*(a_i >> s).
+Since f_i = 2^s*hi_i - M*(a_i mod 2^s), f_i lies in (2^s*(hi_i - M),
+2^s*hi_i]: only ranks with hi_i > max(hi) - M can attain max f, and only
+ranks with hi_i < min(hi) + M can attain min f. Those few are finished in
+Python ints; for w <= 32, s = 0 and hi is f. It serves a single set (M = N
+after one sort), every step of the all-prefix engine (M = m after one
+sorted insert) and each prefix that phi_envelope evaluates (M = j).
 """
 
 from __future__ import annotations
@@ -97,8 +96,7 @@ class PointSet:
         nums = np.ascontiguousarray(numerators, dtype=np.uint64)
         if nums.ndim != 1:
             raise ValueError("numerators must be one-dimensional")
-        if log2_den < 64 and nums.size and int(nums.max()) >= (1 << log2_den):
-            raise ValueError(f"numerator >= 2^{log2_den}")
+        check_numerators(nums, log2_den)
         return cls._of(nums, 1 << log2_den)
 
     @classmethod
@@ -177,8 +175,8 @@ def extreme_discrepancy(points: PointSet) -> DiscrepancyReport:
     if dy is not None:
         nums, w = dy
         a = np.sort(nums)
-        ah, ranks = _split(a, w)
-        fmax, imax, fmin, imin = _rank_extremes(a, ah, ranks, np.empty_like(ah), w)
+        out = np.empty(n, dtype=np.int64)
+        fmax, imax, fmin, imin = _rank_extremes(a, _ranks(n, w), out, w)
         amax, amin = int(a[imax]), int(a[imin])
     else:
         a = sorted(points.nums.tolist())
@@ -241,22 +239,22 @@ def extreme_discrepancy_reference(points: PointSet) -> Fraction:
 # -- the integer kernel and the all-prefix engine ----------------------------
 
 
-def _split(nums: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
-    """The high parts a >> s as int64, and ranks[i] = (i+1)*2^(w-s)."""
-    s = max(0, w - 32)
-    highs = (nums >> np.uint64(s)).astype(np.int64)
-    return highs, np.arange(1, nums.size + 1, dtype=np.int64) << (w - s)
+def _ranks(n: int, w: int) -> np.ndarray:
+    """The kernel's rank terms (i+1)*2^(w-s), s = max(0, w - 32)."""
+    return np.arange(1, n + 1, dtype=np.int64) << min(w, 32)
 
 
-def _rank_extremes(a: np.ndarray, ah: np.ndarray, ranks: np.ndarray, out, w: int):
+def _rank_extremes(a: np.ndarray, ranks: np.ndarray, out, w: int):
     """(fmax, imax, fmin, imin) of f_i = (i+1)*2^w - m*a[i] over sorted a.
 
-    ah holds the high parts of a (a itself when w <= 32), and out is int64
-    scratch. Each index is the first that attains its extreme. Exact for
-    m < 2^31, where every |hi_i| < m*2^32 fits int64.
+    a is uint64 and out int64 scratch, into which the high parts a >> s
+    are written for w > 32. Each index is the first that attains its
+    extreme. Exact for m < 2^31, where every |hi_i| < m*2^32 fits int64.
     """
-    m = ah.size
-    hi = np.multiply(ah, m, out=out[:m])
+    m = a.size
+    hi = out[:m]
+    high = a if w <= 32 else np.right_shift(a, np.uint64(w - 32), hi.view(np.uint64))
+    np.multiply(high.view(np.int64), m, out=hi)  # every high part is below 2^32
     np.subtract(ranks[:m], hi, out=hi)
     imax = int(hi.argmax())
     imin = int(hi.argmin())
@@ -297,35 +295,34 @@ def check_prefix_n(n: int) -> None:
         raise ValueError("prefix engine supports fewer than 2^26 points")
 
 
+def check_numerators(nums: np.ndarray, w: int) -> None:
+    if w < 64 and nums.size and int(nums.max()) >= 1 << w:
+        raise ValueError(f"numerator >= 2^{w}")
+
+
 def prefix_deviation_numerators(nums: np.ndarray, w: int) -> list[int]:
     """For every prefix length M: the integer 2^w * M * D_M.
 
     M * D_M shares the denominator 2^w for every M, so the running maximum
     of these integers is the scaled envelope of the Lemma-style bound.
-    Each step inserts one point into the sorted numerators and high parts,
-    then runs the kernel with M = m.
+    Each step inserts one point into the sorted numerators and runs the
+    kernel with M = m.
     """
     nums = np.asarray(nums, dtype=np.uint64)
     n = int(nums.size)
     if not 0 <= w <= 64:
         raise ValueError(f"w={w} outside [0, 64]")
+    check_numerators(nums, w)
     check_prefix_n(n)
-    highs, ranks = _split(nums, w)
-    ah = np.empty(n, dtype=np.int64)
+    ranks = _ranks(n, w)
+    a = np.empty(n, dtype=np.uint64)
     out = np.empty(n, dtype=np.int64)
-    # For w <= 32 the high part is the numerator, and one array serves.
-    wide = w > 32
-    keys, a = (nums, np.empty(n, dtype=np.uint64)) if wide else (highs, ah)
-    one = 1 << w
-    res = []
+    one, res = 1 << w, []
     for m in range(n):
-        pos = int(np.searchsorted(a[:m], keys[m]))
+        pos = int(np.searchsorted(a[:m], nums[m]))
         a[pos + 1 : m + 1] = a[pos:m]
-        a[pos] = keys[m]
-        if wide:
-            ah[pos + 1 : m + 1] = ah[pos:m]
-            ah[pos] = highs[m]
-        fmax, _, fmin, _ = _rank_extremes(a[: m + 1], ah[: m + 1], ranks, out, w)
+        a[pos] = nums[m]
+        fmax, _, fmin, _ = _rank_extremes(a[: m + 1], ranks, out, w)
         res.append(fmax - fmin + one)
     return res
 
@@ -346,10 +343,10 @@ def phi_envelope(nums: np.ndarray, w: int, checkpoints: Sequence[int]) -> list[i
     from the last evaluated checkpoint to m is bisected best-first (a heap
     keyed on the two-sided bound) while some piece's bound beats the
     running maximum. The points are sorted once; one compress by arrival
-    index gives the first m in sorted order, a second the first j of
-    those, and the integer kernel takes them from there. The running
-    maximum of prefix_deviation_numerators gives every value at once, and
-    is the oracle.
+    index takes the first m in sorted order into a buffer made once per
+    call, a second the first j of those into another, for the kernel. The
+    running maximum of prefix_deviation_numerators gives every value at
+    once, and is the oracle.
     """
     nums = np.asarray(nums, dtype=np.uint64)
     n = int(nums.size)
@@ -357,6 +354,7 @@ def phi_envelope(nums: np.ndarray, w: int, checkpoints: Sequence[int]) -> list[i
         raise ValueError("empty point set")
     if not 0 <= w <= 64:
         raise ValueError(f"w={w} outside [0, 64]")
+    check_numerators(nums, w)
     check_prefix_n(n)
     cps = [int(c) for c in checkpoints]
     if not cps:
@@ -366,20 +364,14 @@ def phi_envelope(nums: np.ndarray, w: int, checkpoints: Sequence[int]) -> list[i
     if cps[0] < 1 or cps[-1] > n:
         raise ValueError(f"checkpoints must lie in [1, {n}]")
     one = 1 << w
-    highs, ranks = _split(nums, w)
+    ranks = _ranks(n, w)
     order = np.argsort(nums)
-    sorted_highs = highs[order]
-    # For w <= 32 the high part is the numerator, and one array serves.
-    sorted_nums = nums[order] if w > 32 else sorted_highs
+    sorted_nums = nums[order]
     scratch = np.empty(n, dtype=np.int64)
+    firsts, mids = np.empty(n, dtype=np.uint64), np.empty(n, dtype=np.uint64)
 
-    def select(a, ah, keep):
-        idx = np.flatnonzero(keep)  # take is several times faster than a[keep]
-        ah = ah.take(idx)
-        return (a.take(idx) if w > 32 else ah), ah
-
-    def v(a, ah) -> int:
-        fmax, _, fmin, _ = _rank_extremes(a, ah, ranks, scratch, w)
+    def v(a) -> int:
+        fmax, _, fmin, _ = _rank_extremes(a, ranks, scratch, w)
         return fmax - fmin + one
 
     best, prev, vprev, out = 0, 0, 0, []
@@ -394,9 +386,9 @@ def phi_envelope(nums: np.ndarray, w: int, checkpoints: Sequence[int]) -> list[i
         if vprev + (m - prev) * one <= best:
             out.append(best)
             continue
-        first = order < m
-        a, ah = select(sorted_nums, sorted_highs, first)
-        vm = v(a, ah)
+        first = order < m  # take is several times faster than a mask
+        a = sorted_nums.take(np.flatnonzero(first), out=firsts[:m], mode="clip")
+        vm = v(a)
         best = max(best, vm)
         push(prev, vprev, m, vm)
         if heap:  # an interior prefix will be evaluated
@@ -404,7 +396,8 @@ def phi_envelope(nums: np.ndarray, w: int, checkpoints: Sequence[int]) -> list[i
         while heap and -heap[0][0] > best:
             _, lo, vlo, hi, vhi = heapq.heappop(heap)
             mid = (lo + hi) // 2
-            vmid = v(*select(a, ah, arrival < mid))
+            # the index array dies at once: held into the next step, it churns pages
+            vmid = v(a.take(np.flatnonzero(arrival < mid), out=mids[:mid], mode="clip"))
             best = max(best, vmid)
             push(lo, vlo, mid, vmid)
             push(mid, vmid, hi, vhi)

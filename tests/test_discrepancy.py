@@ -1,6 +1,7 @@
 import itertools
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -19,7 +20,8 @@ from normbits.discrepancy import (
     phi_envelope,
     prefix_deviation_numerators,
 )
-from normbits.orbit import default_checkpoints
+from normbits.generators import GeneratorSpec
+from normbits.orbit import default_checkpoints, orbit_points
 
 
 def random_dyadic_set(rng: random.Random, n: int, w: int) -> PointSet:
@@ -459,6 +461,9 @@ class TestPointsFile:
         assert d["witness"]["a_side"] in (LEFT_LIMIT, RIGHT_LIMIT)
 
 
+_PAST_2_8 = np.array([5, 1 << 40, 7], dtype=np.uint64)
+
+
 @pytest.mark.parametrize(
     "call,message",
     [
@@ -482,6 +487,10 @@ class TestPointsFile:
                      "w=-1 outside [0, 64]", id="phi_envelope-negative-w"),
         pytest.param(lambda path: phi_envelope([0], 65, [1]),
                      "w=65 outside [0, 64]", id="phi_envelope-wide"),
+        pytest.param(lambda path: phi_envelope(_PAST_2_8, 8, [1, 2, 3]),
+                     "numerator >= 2^8", id="phi_envelope-numerator"),
+        pytest.param(lambda path: prefix_deviation_numerators(_PAST_2_8, 8),
+                     "numerator >= 2^8", id="prefix_engine-numerator"),
         pytest.param(lambda path: parse_points_file(_write(path, "1/2^3\nx/2^4\n")),
                      "{path}:2: expected num/2^w, got 'x/2^4'", id="points-numerator"),
         pytest.param(lambda path: parse_points_file(_write(path, "1/2^y\n")),
@@ -501,3 +510,32 @@ def test_argument_checks(tmp_path, call, message):
 def _write(path, text: str) -> str:
     path.write_text(text)
     return str(path)
+
+
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _orbit_set(w: int) -> PointSet:
+    return orbit_points(GeneratorSpec.parse("random:1").stream(), 1 << 16, w)
+
+
+@pytest.mark.parametrize("w", [31, 64])
+def test_envelope_memory_per_point(w):
+    # The sort order, the sorted numerators, the ranks, the kernel's
+    # scratch and two prefix buffers (48 bytes a point), plus one
+    # evaluation's masks and index arrays; the input is not counted.
+    nums, _ = _orbit_set(w).dyadic_view()
+    n = nums.size
+    assert _traced_peak(lambda: phi_envelope(nums, w, default_checkpoints(n))) <= 72 * n
+
+
+def test_single_set_memory_per_point():
+    # The sorted numerators, the ranks and the kernel's scratch.
+    pts = _orbit_set(31)
+    assert _traced_peak(lambda: extreme_discrepancy(pts)) <= 28 * pts.size

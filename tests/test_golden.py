@@ -22,8 +22,9 @@ filter's band, and points over 2^65, 2^70 and 2^100 whose extremes tie,
 which take the Python-int path instead of the uint64 kernel.
 `verify-lemma` also runs at 2^14 points, once with explicit checkpoints
 between the powers of two and once with the default ones at w = 31, where
-its envelope search prunes most prefixes, and `discrepancy` runs in JSON at
-2^17 points of random:1 at w = 64, the scale of perfbench's orbit workload.
+its envelope search prunes most prefixes. In JSON, `discrepancy` runs at
+2^17 points of random:1 at w = 64, and `verify-lemma` at 2^15 points of
+random:3 at w = 31, the scales of perfbench's orbit workload.
 
 Commands run with tests/golden/ as the working directory, so the points
 paths recorded in each payload's config are relative.
@@ -110,6 +111,8 @@ def _cases() -> list[tuple[str, list[str]]]:
     cases.append(("search-min_1-51.json", ["search-min", "--n", "1..51"]))
     argv = ["discrepancy", "--gen", "random:1", "--n", "131072", "--w", "64"]
     cases.append(("discrepancy_random1_n131072_w64.json", argv))
+    argv = ["verify-lemma", "--gen", "random:3", "--n", "32768", "--w", "31"]
+    cases.append(("verify-lemma_random3_n32768_w31.json", argv))
     for gen in MEASURE_GENS:
         argv = ["generate", "--gen", gen, "--n", "4096"]
         cases.append((f"generate_{_tag(gen)}.txt", argv))
