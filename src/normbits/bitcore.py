@@ -15,6 +15,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import codecs
+import operator
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -43,12 +44,12 @@ def decimal_str(num: int, den: int) -> str:
         return str(Decimal(num) / Decimal(den))
 
 
-def frac_dict(f: Fraction) -> dict:
-    """JSON form of an exact rational: numerator, denominator and decimal."""
+def frac_dict(f: Fraction, prefix: str = "") -> dict:
+    """JSON form of an exact rational: prefix + "num", "den" and "decimal"."""
     return {
-        "num": f.numerator,
-        "den": f.denominator,
-        "decimal": decimal_str(f.numerator, f.denominator),
+        prefix + "num": f.numerator,
+        prefix + "den": f.denominator,
+        prefix + "decimal": decimal_str(f.numerator, f.denominator),
     }
 
 
@@ -70,6 +71,7 @@ class ExactValue(Fraction):
     hashing and arithmetic (a difference or an abs() is a plain Fraction), but
     rebuilds a subclass as cls(numerator, denominator), reading the denominator
     as log2_den; so copy, pickle, from_float and from_decimal are redefined.
+    The numerator is read with operator.index, so a float is refused, not cast.
     """
 
     __slots__ = ()
@@ -77,7 +79,7 @@ class ExactValue(Fraction):
     def __new__(cls, num: int, log2_den: int = 0):
         if log2_den < 0:
             raise ValueError("log2_den must be >= 0")
-        return super().__new__(cls, int(num), 1 << log2_den)
+        return super().__new__(cls, operator.index(num), 1 << log2_den)
 
     @property
     def num(self) -> int:
@@ -107,6 +109,11 @@ class ExactValue(Fraction):
 
     def decimal(self) -> str:
         return decimal_str(self.numerator, self.denominator)
+
+    def json_fields(self, prefix: str = "") -> dict:
+        """JSON form: prefix + "num", "log2_den" and "decimal", in that order."""
+        keys = (prefix + "num", prefix + "log2_den", prefix + "decimal")
+        return dict(zip(keys, (self.num, self.log2_den, self.decimal())))
 
     def __str__(self):
         return f"{self.num}/2^{self.log2_den}"

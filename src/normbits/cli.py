@@ -140,23 +140,14 @@ def _cmd_measure(args) -> Payload:
         "algorithm": args.algorithm,
     }
     evaluate = normality_fast if args.algorithm == "fast" else normality_naive
-    d = evaluate(seq).to_json_dict()
+    report = evaluate(seq)
+    d = report.to_json_dict()
     header = ["kind", "k", "pattern", "M", "T", "num", "log2_den", "decimal"]
-    rows = [
-        [
-            "max",
-            d["k"],
-            d["pattern"],
-            d["M"],
-            d["T"],
-            d["value_num"],
-            d["value_log2_den"],
-            d["value_decimal"],
-        ]
-    ]
+    value = report.value.json_fields().values()
+    rows = [["max", d["k"], d["pattern"], d["M"], d["T"], *value]]
     rows += [
-        ["per_k", e["k"], None, None, None, e["num"], e["log2_den"], e["decimal"]]
-        for e in d["per_k"]
+        ["per_k", k, None, None, None, *v.json_fields().values()]
+        for k, v in report.per_k_max
     ]
     return fields, {"report": d}, header, rows, 0
 
@@ -243,9 +234,7 @@ def _cmd_search(args) -> Payload:
     rows = [
         [
             r.n,
-            r.min_value.num,
-            r.min_value.log2_den,
-            r.min_value.decimal(),
+            *r.min_value.json_fields().values(),
             r.witnesses[0].to01() if r.witnesses else None,
         ]
         for r in results

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -48,7 +49,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .bitcore import decimal_str, frac_dict, read_ascii
+from .bitcore import frac_dict, read_ascii
 
 __all__ = [
     "PointSet",
@@ -93,11 +94,7 @@ class PointSet:
     def from_dyadic(cls, numerators, log2_den: int) -> "PointSet":
         if not 0 <= log2_den <= 64:
             raise ValueError(f"log2_den {log2_den} outside [0, 64]")
-        nums = np.ascontiguousarray(numerators, dtype=np.uint64)
-        if nums.ndim != 1:
-            raise ValueError("numerators must be one-dimensional")
-        check_numerators(nums, log2_den)
-        return cls._of(nums, 1 << log2_den)
+        return cls._of(check_numerators(numerators, log2_den), 1 << log2_den)
 
     @classmethod
     def _of(cls, nums: np.ndarray, den: int) -> "PointSet":
@@ -147,14 +144,8 @@ class DiscrepancyReport:
     def to_json_dict(self) -> dict:
         return {
             "n": self.n,
-            "extreme_num": self.extreme.numerator,
-            "extreme_den": self.extreme.denominator,
-            "extreme_decimal": decimal_str(
-                self.extreme.numerator, self.extreme.denominator
-            ),
-            "star_num": self.star.numerator,
-            "star_den": self.star.denominator,
-            "star_decimal": decimal_str(self.star.numerator, self.star.denominator),
+            **frac_dict(self.extreme, "extreme_"),
+            **frac_dict(self.star, "star_"),
             "witness": {
                 "a": frac_dict(self.witness_a),
                 "b": frac_dict(self.witness_b),
@@ -295,9 +286,52 @@ def check_prefix_n(n: int) -> None:
         raise ValueError("prefix engine supports fewer than 2^26 points")
 
 
-def check_numerators(nums: np.ndarray, w: int) -> None:
-    if w < 64 and nums.size and int(nums.max()) >= 1 << w:
+def check_checkpoints(checkpoints: Iterable[int], n: int) -> list[int]:
+    """The checkpoints as a list: integers (read with operator.index, never
+    cast), not empty, strictly increasing and within [1, n]; else ValueError."""
+    try:
+        cps = [operator.index(c) for c in checkpoints]
+    except TypeError:
+        raise ValueError("checkpoints must be integers") from None
+    if not cps:
+        raise ValueError("empty checkpoint list")
+    if any(b <= a for a, b in zip(cps, cps[1:])):
+        raise ValueError("checkpoints must increase strictly")
+    if cps[0] < 1 or cps[-1] > n:
+        raise ValueError(f"checkpoints must lie in [1, {n}]")
+    return cps
+
+
+def check_numerators(nums, w: int) -> np.ndarray:
+    """The numerators of points over 2^w, w in [0, 64], as a 1-D uint64 array.
+
+    An integer array needs at most its min and max. Other input is read by
+    operator.index, never by numpy's dtype inference ([2^64 - 1, 0] would be
+    float64). Nothing is cast: a non-integer, a negative value, a value of
+    2^w or more, or input that is not 1-D raises ValueError.
+    """
+    if not 0 <= w <= 64:
+        raise ValueError(f"w={w} outside [0, 64]")
+    if not isinstance(nums, np.ndarray):
+        nums = np.array(nums, dtype=object)
+    if nums.ndim != 1:
+        raise ValueError("numerators must be one-dimensional")
+    if nums.dtype == object:
+        try:
+            ints = [operator.index(a) for a in nums.tolist()]
+        except TypeError:
+            raise ValueError("numerators must be integers") from None
+        lo, hi = min(ints, default=0), max(ints, default=0)
+    elif nums.dtype.kind in "iu":
+        lo = int(nums.min()) if nums.dtype.kind == "i" and nums.size else 0
+        hi = int(nums.max()) if w < 64 and nums.size else 0
+    else:
+        raise ValueError("numerators must be integers")
+    if lo < 0:
+        raise ValueError("negative numerator")
+    if hi >= 1 << w:
         raise ValueError(f"numerator >= 2^{w}")
+    return nums.astype(np.uint64, copy=False)
 
 
 def prefix_deviation_numerators(nums: np.ndarray, w: int) -> list[int]:
@@ -308,11 +342,8 @@ def prefix_deviation_numerators(nums: np.ndarray, w: int) -> list[int]:
     Each step inserts one point into the sorted numerators and runs the
     kernel with M = m.
     """
-    nums = np.asarray(nums, dtype=np.uint64)
-    n = int(nums.size)
-    if not 0 <= w <= 64:
-        raise ValueError(f"w={w} outside [0, 64]")
-    check_numerators(nums, w)
+    nums = check_numerators(nums, w)
+    n = nums.size
     check_prefix_n(n)
     ranks = _ranks(n, w)
     a = np.empty(n, dtype=np.uint64)
@@ -330,13 +361,14 @@ def prefix_deviation_numerators(nums: np.ndarray, w: int) -> list[int]:
 def phi_envelope(nums: np.ndarray, w: int, checkpoints: Sequence[int]) -> list[int]:
     """2^w * Phi(m) at each checkpoint m: Phi(m) = max over j <= m of j*D_j.
 
-    The checkpoints must increase strictly and lie in [1, N]. Only the
-    prefixes that could raise Phi are evaluated. The search rests on the
-    integers v(j) = 2^w * j * D_j, with v(0) = 0, moving by at most 2^w per
-    point: adding y changes C(I) - j|I| by 1[y in I] - |I|, which lies in
-    [-1, 1]. So no j between exact v(lo) and v(hi) exceeds
-    (v(lo) + v(hi) + (hi - lo)*2^w) // 2, and no j in (lo, m] exceeds
-    v(lo) + (m - lo)*2^w.
+    The numerators pass check_numerators and the checkpoints
+    check_checkpoints (integers, strictly increasing, within [1, N]) before
+    any work. Only the prefixes that could raise Phi are evaluated. The
+    search rests on the integers v(j) = 2^w * j * D_j, with v(0) = 0,
+    moving by at most 2^w per point: adding y changes C(I) - j|I| by
+    1[y in I] - |I|, which lies in [-1, 1]. So no j between exact v(lo)
+    and v(hi) exceeds (v(lo) + v(hi) + (hi - lo)*2^w) // 2, and no j in
+    (lo, m] exceeds v(lo) + (m - lo)*2^w.
 
     A checkpoint whose one-sided bound cannot beat the running maximum
     reports that maximum. Otherwise v(m) is evaluated, and the interval
@@ -348,21 +380,12 @@ def phi_envelope(nums: np.ndarray, w: int, checkpoints: Sequence[int]) -> list[i
     running maximum of prefix_deviation_numerators gives every value at
     once, and is the oracle.
     """
-    nums = np.asarray(nums, dtype=np.uint64)
-    n = int(nums.size)
+    nums = check_numerators(nums, w)
+    n = nums.size
     if n == 0:
         raise ValueError("empty point set")
-    if not 0 <= w <= 64:
-        raise ValueError(f"w={w} outside [0, 64]")
-    check_numerators(nums, w)
     check_prefix_n(n)
-    cps = [int(c) for c in checkpoints]
-    if not cps:
-        raise ValueError("empty checkpoint list")
-    if any(b <= a for a, b in zip(cps, cps[1:])):
-        raise ValueError("checkpoints must increase strictly")
-    if cps[0] < 1 or cps[-1] > n:
-        raise ValueError(f"checkpoints must lie in [1, {n}]")
+    cps = check_checkpoints(checkpoints, n)
     one = 1 << w
     ranks = _ranks(n, w)
     order = np.argsort(nums)

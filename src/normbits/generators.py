@@ -151,7 +151,9 @@ class DigitStream:
 
 @dataclass(frozen=True)
 class GeneratorSpec:
-    """Fully determines a digit stream (same spec => same digits)."""
+    """Fully determines a digit stream (same spec => same digits). A kind
+    takes exactly its own fields (_FIELDS); any other field set is a ValueError.
+    """
 
     kind: str
     p: Optional[int] = None
@@ -159,11 +161,20 @@ class GeneratorSpec:
     seed: Optional[int] = None
     path: Optional[str] = None
 
-    _KINDS = ("champernowne", "rational", "random", "file")
+    _FIELDS = {
+        "champernowne": (),
+        "rational": ("p", "q"),
+        "random": ("seed",),
+        "file": ("path",),
+    }
 
     def __post_init__(self):
-        if self.kind not in self._KINDS:
+        if self.kind not in self._FIELDS:
             raise ValueError(f"unknown generator kind {self.kind!r}")
+        want = self._FIELDS[self.kind]
+        given = [f for f in ("p", "q", "seed", "path") if getattr(self, f) is not None]
+        if tuple(given) != want:
+            raise ValueError(f"{self.kind} takes exactly the fields {list(want)}")
 
     @classmethod
     def parse(cls, text: str) -> "GeneratorSpec":

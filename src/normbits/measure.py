@@ -84,22 +84,12 @@ class NormalityReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "value_num": self.value.num,
-            "value_log2_den": self.value.log2_den,
-            "value_decimal": self.value.decimal(),
+            **self.value.json_fields("value_"),
             "k": self.witness_k,
             "pattern": str(self.witness_pattern) if self.witness_pattern else None,
             "M": self.witness_m,
             "T": self.witness_t,
-            "per_k": [
-                {
-                    "k": k,
-                    "num": v.num,
-                    "log2_den": v.log2_den,
-                    "decimal": v.decimal(),
-                }
-                for k, v in self.per_k_max
-            ],
+            "per_k": [{"k": k, **v.json_fields()} for k, v in self.per_k_max],
         }
 
 
@@ -127,8 +117,12 @@ def count_occurrences(seq: BitSequence, m: int, pattern: Pattern) -> int:
     return count
 
 
-def _empty_report(n: int) -> NormalityReport:
-    return NormalityReport(n, ExactValue(0), None, None, None, None, ())
+def _report(n: int, best, per_k) -> NormalityReport:
+    """The report of witness best = (num, k, x, m, t), or of no k when None."""
+    if best is None:
+        return NormalityReport(n, ExactValue(0), None, None, None, None, ())
+    num, k, x, m, t = best
+    return NormalityReport(n, ExactValue(num, k), k, Pattern(k, x), m, t, tuple(per_k))
 
 
 def check_measure_n(n: int) -> None:
@@ -160,7 +154,7 @@ def normality_naive(seq: BitSequence) -> NormalityReport:
     check_measure_n(n)
     klim = max_block_length(n)
     if klim < 1:
-        return _empty_report(n)
+        return _report(n, None, ())
     bits = seq.to_numpy().astype(np.int32)
     best: Optional[tuple[int, int, int, int, int]] = None  # num, k, x, m, t
     per_k: list[tuple[int, ExactValue]] = []
@@ -191,16 +185,7 @@ def normality_naive(seq: BitSequence) -> NormalityReport:
         per_k.append((k, ExactValue(k_best[0], k)))
         if best is None or _better(k_best[0], k, best[0], best[1]):
             best = (k_best[0], k, k_best[1], k_best[2], k_best[3])
-    num, k, x, m, t = best
-    return NormalityReport(
-        n=n,
-        value=ExactValue(num, k),
-        witness_k=k,
-        witness_pattern=Pattern(k, x),
-        witness_m=m,
-        witness_t=t,
-        per_k_max=tuple(per_k),
-    )
+    return _report(n, best, per_k)
 
 
 # -- single-pass evaluator ---------------------------------------------
@@ -417,7 +402,7 @@ def normality_fast(seq: BitSequence) -> NormalityReport:
     n = len(seq)
     check_measure_n(n)
     if max_block_length(n) < 1:
-        return _empty_report(n)
+        return _report(n, None, ())
     per_k: list[tuple[int, ExactValue]] = []
     best: tuple[int, ...] = (-1, 0)  # num, k, x, m, t; k = 1 beats it
     for k, order, ck, buf in _sorted_windows(seq):
@@ -425,16 +410,7 @@ def normality_fast(seq: BitSequence) -> NormalityReport:
         per_k.append((k, ExactValue(num, k)))
         if found is not None:
             best = (num, k, *found)
-    num, k, x, m, t = best
-    return NormalityReport(
-        n=n,
-        value=ExactValue(num, k),
-        witness_k=k,
-        witness_pattern=Pattern(k, x),
-        witness_m=m,
-        witness_t=t,
-        per_k_max=tuple(per_k),
-    )
+    return _report(n, best, per_k)
 
 
 def normality_value(seq: BitSequence) -> ExactValue:

@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .bitcore import BitSequence, ExactValue, Pattern, frac_dict
-from .discrepancy import PointSet, check_prefix_n, phi_envelope
+from .discrepancy import PointSet, check_checkpoints, check_prefix_n, phi_envelope
 from .generators import DigitStream, StreamExhausted
 from .measure import (
     CHUNK, MAX_MEASURE_N, _preceding_digits, max_block_length, normality_value,
@@ -137,11 +137,7 @@ class VerificationReport:
             "checkpoints": [
                 {
                     "n": c.n,
-                    "normality": {
-                        "num": c.normality.num,
-                        "log2_den": c.normality.log2_den,
-                        "decimal": c.normality.decimal(),
-                    },
+                    "normality": c.normality.json_fields(),
                     "phi": frac_dict(c.phi),
                     "margin": frac_dict(c.margin),
                     "pass": c.passed,
@@ -178,7 +174,8 @@ def lemma1_verify(
     phi_envelope returns the integers 2^w * Phi(m) at the checkpoints
     alone, evaluating only the prefixes whose Lipschitz bound can beat the
     running maximum. The digit prefix is shared by both sides, so the
-    inequality is exact (no epsilon handling).
+    inequality is exact (no epsilon handling). Given checkpoints are sorted,
+    deduplicated and passed to check_checkpoints before any digit is read.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -187,11 +184,7 @@ def lemma1_verify(
     if checkpoints is None:
         cps = default_checkpoints(n)
     else:
-        cps = sorted(set(int(c) for c in checkpoints))
-        if not cps:
-            raise ValueError("empty checkpoint list")
-        if cps[0] < 1 or cps[-1] > n:
-            raise ValueError(f"checkpoints must lie in [1, {n}]")
+        cps = check_checkpoints(sorted(set(checkpoints)), n)
     digits = _orbit_digits(stream, n, w)
     nums = _window_numerators(digits.to_numpy(), n, w)
     env = phi_envelope(nums, w, cps)

@@ -62,9 +62,7 @@ class SearchResult:
     def to_json_dict(self) -> dict:
         return {
             "n": self.n,
-            "min_num": self.min_value.num,
-            "min_log2_den": self.min_value.log2_den,
-            "min_decimal": self.min_value.decimal(),
+            **self.min_value.json_fields("min_"),
             "witnesses": [w.to01() for w in self.witnesses],
             "nodes_visited": self.nodes_visited,
             "pruned": self.pruned,

@@ -165,6 +165,18 @@ class TestExactValue:
         assert ExactValue(21, 2).decimal() == "5.25"
         assert ExactValue(3, 2).decimal() == "0.75"
 
+    def test_json_fields(self):
+        fields = ExactValue(42, 3).json_fields("value_")
+        assert list(fields.items()) == [
+            ("value_num", 21), ("value_log2_den", 2), ("value_decimal", "5.25")
+        ]
+        assert list(ExactValue(0, 5).json_fields()) == ["num", "log2_den", "decimal"]
+
+    def test_float_numerator_refused(self):
+        # read with operator.index, as Fraction reads it, never truncated to 1/4
+        with pytest.raises(TypeError):
+            ExactValue(1.5, 2)
+
     def test_from_float_and_decimal(self):
         # Fraction's versions build cls(numerator, denominator): 1/4, 3/2, 3/16
         assert ExactValue.from_float(0.5) == ExactValue(1, 1)

@@ -390,8 +390,9 @@ class TestPhiEnvelope:
             ([0, 3], r"lie in \[1, 6\]"),
             ([3, 7], r"lie in \[1, 6\]"),
             ([], "empty checkpoint list"),
+            ([1.5, 2], "checkpoints must be integers"),
         ],
-        ids=["unsorted", "duplicate", "zero", "past-n", "empty"],
+        ids=["unsorted", "duplicate", "zero", "past-n", "empty", "float"],
     )
     def test_bad_checkpoints_rejected(self, checkpoints, message):
         with pytest.raises(ValueError, match=message):
@@ -462,6 +463,8 @@ class TestPointsFile:
 
 
 _PAST_2_8 = np.array([5, 1 << 40, 7], dtype=np.uint64)
+_FLOATS = np.array([0.9, 3.99])  # once truncated to the points 0 and 3
+_SQUARE = np.zeros((2, 2), dtype=np.uint64)
 
 
 @pytest.mark.parametrize(
@@ -477,6 +480,16 @@ _PAST_2_8 = np.array([5, 1 << 40, 7], dtype=np.uint64)
                      "numerators must be one-dimensional", id="from_dyadic-2d"),
         pytest.param(lambda path: PointSet.from_dyadic([3, 16], 4),
                      "numerator >= 2^4", id="from_dyadic-numerator"),
+        pytest.param(lambda path: PointSet.from_dyadic(_FLOATS, 8),
+                     "numerators must be integers", id="from_dyadic-float"),
+        pytest.param(lambda path: PointSet.from_dyadic([0, 1.5], 8),
+                     "numerators must be integers", id="from_dyadic-float-list"),
+        pytest.param(lambda path: PointSet.from_dyadic(np.array([-1, 3]), 64),
+                     "negative numerator", id="from_dyadic-negative"),
+        pytest.param(lambda path: PointSet.from_dyadic([3, -1], 8),
+                     "negative numerator", id="from_dyadic-negative-list"),
+        pytest.param(lambda path: PointSet.from_dyadic([0, 1 << 64], 64),
+                     "numerator >= 2^64", id="from_dyadic-2^64"),
         pytest.param(lambda path: PointSet.from_dyadic([3], 4).prefix(2),
                      "prefix length 2 outside [0, 1]", id="prefix-long"),
         pytest.param(lambda path: PointSet.from_dyadic([3], 4).prefix(-1),
@@ -491,6 +504,16 @@ _PAST_2_8 = np.array([5, 1 << 40, 7], dtype=np.uint64)
                      "numerator >= 2^8", id="phi_envelope-numerator"),
         pytest.param(lambda path: prefix_deviation_numerators(_PAST_2_8, 8),
                      "numerator >= 2^8", id="prefix_engine-numerator"),
+        pytest.param(lambda path: phi_envelope(_FLOATS, 8, [1, 2]),
+                     "numerators must be integers", id="phi_envelope-float"),
+        pytest.param(lambda path: prefix_deviation_numerators(_FLOATS, 8),
+                     "numerators must be integers", id="prefix_engine-float"),
+        pytest.param(lambda path: phi_envelope(np.array([-1, 3]), 64, [1, 2]),
+                     "negative numerator", id="phi_envelope-negative"),
+        pytest.param(lambda path: phi_envelope(_SQUARE, 8, [1, 2]),
+                     "numerators must be one-dimensional", id="phi_envelope-2d"),
+        pytest.param(lambda path: prefix_deviation_numerators(_SQUARE, 8),
+                     "numerators must be one-dimensional", id="prefix_engine-2d"),
         pytest.param(lambda path: parse_points_file(_write(path, "1/2^3\nx/2^4\n")),
                      "{path}:2: expected num/2^w, got 'x/2^4'", id="points-numerator"),
         pytest.param(lambda path: parse_points_file(_write(path, "1/2^y\n")),

@@ -223,6 +223,17 @@ class TestFileAndSpec:
     [
         pytest.param(lambda: GeneratorSpec(kind="bogus"),
                      "unknown generator kind 'bogus'", id="kind"),
+        pytest.param(lambda: GeneratorSpec(kind="random"),
+                     "random takes exactly the fields ['seed']", id="random-no-seed"),
+        pytest.param(lambda: GeneratorSpec(kind="rational", p=1),
+                     "rational takes exactly the fields ['p', 'q']", id="rational-no-q"),
+        pytest.param(lambda: GeneratorSpec(kind="file"),
+                     "file takes exactly the fields ['path']", id="file-no-path"),
+        pytest.param(lambda: GeneratorSpec(kind="champernowne", seed=3),
+                     "champernowne takes exactly the fields []",
+                     id="champernowne-seed"),
+        pytest.param(lambda: GeneratorSpec(kind="random", seed=1, path="x"),
+                     "random takes exactly the fields ['seed']", id="random-path"),
         pytest.param(lambda: GeneratorSpec.parse("champernowne:1"),
                      "champernowne takes no parameters", id="champernowne-param"),
         pytest.param(lambda: GeneratorSpec.parse("bogus"),

@@ -22,7 +22,8 @@ filter's band, and points over 2^65, 2^70 and 2^100 whose extremes tie,
 which take the Python-int path instead of the uint64 kernel.
 `verify-lemma` also runs at 2^14 points, once with explicit checkpoints
 between the powers of two and once with the default ones at w = 31, where
-its envelope search prunes most prefixes. In JSON, `discrepancy` runs at
+its envelope search prunes most prefixes, and at 2^12 points with
+checkpoints out of order and repeated, which it sorts and deduplicates. In JSON, `discrepancy` runs at
 2^17 points of random:1 at w = 64, and `verify-lemma` at 2^15 points of
 random:3 at w = 31, the scales of perfbench's orbit workload.
 
@@ -50,7 +51,7 @@ MEASURE_GENS = ("champernowne", "random:1", "rational:1/3", "rational:0/1")
 
 # verify-lemma at 2^14 points: explicit checkpoints that fall between the
 # powers of two (and the first three m), and the default powers of two on
-# a one-limb window.
+# a one-limb window; at 2^12 points, checkpoints out of order and repeated.
 _SCALE_VERIFY = (
     (
         "verify-lemma_random2_n16384_checkpoints",
@@ -60,6 +61,11 @@ _SCALE_VERIFY = (
     (
         "verify-lemma_champernowne_n16384_w31",
         ["verify-lemma", "--gen", "champernowne", "--n", "16384", "--w", "31"],
+    ),
+    (
+        "verify-lemma_random1_n4096_unsorted_checkpoints",
+        ["verify-lemma", "--gen", "random:1", "--n", "4096", "--w", "64"]
+        + ["--checkpoints", "4096,3,3,1000"],
     ),
 )
 
