@@ -144,6 +144,8 @@ class BitSequence:
         arr = np.array(bits if isinstance(bits, np.ndarray) else list(bits))
         if arr.ndim != 1:
             raise ValueError(f"bits must be one-dimensional, got shape {arr.shape}")
+        if arr.size and arr.dtype.kind not in "biu":  # [] reads as float64
+            raise ValueError(f"bits must be integers, got {arr.dtype}")
         if ((arr != 0) & (arr != 1)).any():
             raise ValueError("bits must be 0 or 1")
         return cls._adopt(arr.astype(np.uint8, copy=False))

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import numbers
 import operator
 from collections import Counter
 from dataclasses import dataclass
@@ -79,6 +80,8 @@ class PointSet:
     def __init__(self, values: Iterable[Union[Fraction, int]]):
         fracs = []
         for v in values:
+            if not isinstance(v, numbers.Rational):  # a float or a str is not cast
+                raise ValueError(f"point {v!r} is not an int or a Fraction")
             f = Fraction(v)
             if not 0 <= f < 1:
                 raise ValueError(f"point {f} outside [0, 1)")

@@ -17,6 +17,7 @@ yields identical digits on every platform.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -45,7 +46,12 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 
 
 def splitmix64_outputs(seed: int, count: int) -> np.ndarray:
-    """First `count` 64-bit splitmix64 outputs for a seed in [0, 2^64)."""
+    """First `count` 64-bit splitmix64 outputs for a seed in [0, 2^64); both
+    are read with operator.index, so a float is refused, not cast."""
+    try:
+        seed, count = operator.index(seed), operator.index(count)
+    except TypeError:
+        raise ValueError(f"seed {seed!r} and count {count!r} must be integers") from None
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed {seed} outside [0, 2^64)")
     if count < 0:
@@ -152,7 +158,8 @@ class DigitStream:
 @dataclass(frozen=True)
 class GeneratorSpec:
     """Fully determines a digit stream (same spec => same digits). A kind
-    takes exactly its own fields (_FIELDS); any other field set is a ValueError.
+    takes exactly its own fields (_FIELDS); any other field set is a ValueError,
+    as is a p, q or seed that operator.index does not read as an integer.
     """
 
     kind: str
@@ -175,6 +182,13 @@ class GeneratorSpec:
         given = [f for f in ("p", "q", "seed", "path") if getattr(self, f) is not None]
         if tuple(given) != want:
             raise ValueError(f"{self.kind} takes exactly the fields {list(want)}")
+        for f in ("p", "q", "seed"):
+            value = getattr(self, f)
+            try:
+                if value is not None:
+                    object.__setattr__(self, f, operator.index(value))
+            except TypeError:
+                raise ValueError(f"{f}={value!r} is not an integer") from None
 
     @classmethod
     def parse(cls, text: str) -> "GeneratorSpec":

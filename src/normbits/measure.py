@@ -16,16 +16,16 @@ provided:
   floor(log2 N) digits that end where it ends: its code is their low k
   bits, and the digit the pass for k prepends is bit k-1, so the digits
   are read once, before the first pass. In that order a window's
-  occurrence rank is its position within its group of equal codes, so
-  each side of every pattern is one segmented maximum or minimum over
-  the groups; nothing is scattered back to window order. The scan reads
-  each chunk once per k and notes the witness candidates as it meets
-  them; when a k takes the lead, only the witness pattern's windows are
-  read again. Every k's order and digits overwrite k-1's in one pair of
-  N+1 int32 entries; the carry and the scan walk the positions one chunk
-  at a time and write into one set of chunk buffers per call. Besides
-  them and the pair, a call holds a side buffer of two int32 per digit
-  equal to 1, and index arrays of one chunk.
+  occurrence rank is its position less its group's start, so both of its
+  terms follow from its position and its end, and each side's peak over
+  a chunk is one argmax or argmin; nothing is scattered back to window
+  order. The positions run in pattern order, then M order, so the first
+  position at the peak is the witness: the scan reads each chunk once
+  per k, and nothing again. Every k's order and digits overwrite k-1's
+  in one pair of N+1 int32 entries; the carry and the scan walk the
+  positions one chunk at a time and write into one set of chunk buffers
+  per call. Besides them and the pair, a call holds a side buffer of two
+  int32 per digit equal to 1, and index and rank arrays of one chunk.
 * :func:`normality_value` runs the same passes for the value alone and
   stops before the pass for k once G <= B, where B is the best value over
   the k's before it and G the largest group of equal codes among the
@@ -192,7 +192,8 @@ def normality_naive(seq: BitSequence) -> NormalityReport:
 
 # Positions per chunk: the carry and the scan walk the positions this many
 # at a time and write into the call's chunk buffers. The arrays they make
-# per chunk are flatnonzero's index arrays, of at most 8*CHUNK bytes.
+# per chunk are flatnonzero's index arrays and the scan's ranks, each of at
+# most 8*CHUNK bytes.
 CHUNK = 1 << 15
 
 
@@ -206,10 +207,7 @@ class _Buffers:
         self.codes = np.empty(size, np.int32)
         self.moved = np.empty((2, size), np.int32)
         self.new = np.empty(size, bool)
-        # sizes: also each group's lowest q
-        self.dev, self.peaks, self.base, self.sizes = (
-            np.empty(size, np.int64) for _ in range(4)
-        )
+        self.sizes = np.empty(size, np.int64)  # of groups, or their parts in a chunk
 
 
 def _position(ck: np.ndarray, mask: int, x: int) -> int:
@@ -258,32 +256,30 @@ def _carry(
 
 
 def _scan_k(
-    order: np.ndarray, ck: np.ndarray, k: int, best: Optional[tuple[int, ...]],
-    buf: _Buffers,
-) -> tuple[int, Optional[tuple[int, int, int]], int]:
-    """This k's maximum scaled deviation max_{X,M} |2^k*T(M,X) - M|, if it
-    beats `best` = (num, k, ...) the smallest (pattern, M, T) attaining it
-    (never when best is None), and the size of the largest group of equal
-    codes, from the windows' stable order by code and their preceding
-    digits in that order, in one pass over the positions a chunk at a time.
+    order: np.ndarray, ck: np.ndarray, k: int, buf: _Buffers
+) -> tuple[int, tuple[int, int, int], int]:
+    """This k's maximum scaled deviation max_{X,M} |2^k*T(M,X) - M|, the
+    smallest (pattern, M, T) attaining it, and the size of the largest
+    group of equal codes, from the windows' stable order by code and their
+    preceding digits in that order, in one pass over the positions a chunk
+    at a time.
 
     Position p of a group starting at s holds the window ending at
     e = order[p], i = e - k, with occurrence rank r = p - s + 1, so with
-    q[p] = p*2^k - e, the term as it arrives is 2^k*r - (i+1) =
-    q[p] - s*2^k + 2^k + k - 1 and the term just before it arrives is
-    i - 2^k*(r-1) = s*2^k - q[p] - k; the last term, at step m, is
-    m - 2^k*size. A missing pattern's last term is m, above every present
-    one's last two, so those are read only while the codes so far are
-    exactly 0, 1, ..., groups - 1. The witness pattern x is the smallest
-    code at the peak, noted as the pass meets it: the first group at the
-    largest term, the first group of the smallest size when its last term
-    is the peak, or the first missing code when m is; then x's windows
-    give M and T.
+    d[p] = (r-1)*2^k - e, the term as it arrives, at M = i+1 with T = r,
+    is 2^k*r - (i+1) = d[p] + 2^k + k - 1, and the term just before, at
+    M = i with T = r-1, is i - 2^k*(r-1) = -d[p] - k; the two differ, as
+    their sum is odd. The positions run in code order, then end order, so
+    the first position at the largest term holds the smallest pattern and
+    its smallest M. The last term, at step m, is m - 2^k*size, or m for a
+    missing pattern, above every present one's and every term just
+    before; it wins a tie only with a smaller pattern.
     """
     m = order.shape[0]
     mask = (1 << k) - 1
     first = groups = 0  # the start of the group holding a; groups started before a
-    top = xtop = xmiss = -1  # the largest term, its first code; the first missing
+    top, witness = -1, None  # the largest term so far and its (x, M, T)
+    xmiss = -1  # the first missing code
     gmax, gmin, xmin = 0, m + 1, 0  # group sizes; the first smallest's code
     for a in range(0, m, CHUNK):
         b = min(a + CHUNK, m)
@@ -303,51 +299,35 @@ def _scan_k(
             xmiss = lag + bisect_left(
                 range(g), True, key=lambda j: codes.item(starts.item(j)) - j > lag
             )
-        q = np.left_shift(buf.ramp[:size], k, out=buf.dev[:size])
-        q -= order[a:b]  # q[p] less a*2^k, as every start below is less a
-        peaks = np.maximum.reduceat(q, starts[:g], out=buf.peaks[:g])
-        if xmiss < 0:
-            lows = np.minimum.reduceat(q, starts[:g], out=buf.sizes[:g])
+        np.subtract(starts[1:g], starts[: g - 1], out=buf.sizes[: g - 1])
+        buf.sizes[g - 1] = size - starts[g - 1]  # each group's positions here
         starts[0] = first - a
-        base = np.left_shift(starts[:g], k, out=buf.base[:g])
-        peaks -= base
-        peaks += (1 << k) - 1 + 2 * k  # plus k, as base - lows is too
-        if xmiss < 0:
-            np.maximum(peaks, np.subtract(base, lows, out=lows), out=peaks)
-        j = int(peaks.argmax())  # the first group at the chunk's largest term
-        if peaks[j] - k > top:
-            top, xtop = int(peaks[j]) - k, int(codes[max(starts[j], 0)])
+        d = np.repeat(starts[:g], buf.sizes[:g])  # each position's s, less a
+        np.subtract(buf.ramp[:size], d, out=d)
+        d <<= k
+        d -= order[a:b]
+        hi, lo = int(d.argmax()), int(d.argmin())
+        up, down = int(d[hi]) + (1 << k) + k - 1, -int(d[lo]) - k
+        # the larger; at a tie, the earlier position (hi != lo then)
+        term, p, step = (up, hi, 1) if (up, lo) > (down, hi) else (down, lo, 0)
+        if term > top:
+            end = int(order[a + p])
+            top = term
+            witness = (int(codes[p]), end - k + step, ((int(d[p]) + end) >> k) + step)
         # the sizes of the groups that end by b
         sizes = np.subtract(starts[1:], starts[:-1], out=buf.sizes[: starts.size - 1])
         if sizes.size:
             gmax = max(gmax, int(sizes.max()))
-            if xmiss < 0:  # the last terms count only then
-                j = int(sizes.argmin())
-                if sizes[j] < gmin:
-                    gmin, xmin = int(sizes[j]), int(codes[max(starts[j], 0)])
+            j = int(sizes.argmin())
+            if sizes[j] < gmin:
+                gmin, xmin = int(sizes[j]), int(codes[max(starts[j], 0)])
         first = a + int(starts[-1])
-    end = m - (gmin << k) if xmiss < 0 else m
-    num = max(top, end)
-    if best is None or not _better(num, k, best[0], best[1]):
-        return num, None, gmax
-    xs = [xtop] if top == num else []
-    if end == num:
-        xs.append(xmin if xmiss < 0 else xmiss)
-    x = min(xs)
-    s, e = _position(ck, mask, x), _position(ck, mask, x + 1)
-    for a in range(s, e, CHUNK):
-        b = min(a + CHUNK, e)
-        d = np.left_shift(buf.ramp[: b - a], k, out=buf.dev[: b - a])
-        d += ((a - s + 1) << k) + k
-        d -= order[a:b]  # 2^k*r - i over x's windows i
-        hits = [
-            (int(order[a + j]) - k + step, a - s + int(j) + step)
-            for target, step in ((num + 1, 1), ((1 << k) - num, 0))  # arrival, just before
-            for j in np.flatnonzero(d == target)[:1]
-        ]
-        if hits:  # later windows, and the end at m, give no smaller (M, T)
-            return num, (x, *min(hits)), gmax
-    return num, (x, m, e - s), gmax
+    if xmiss >= 0:
+        gmin, xmin = 0, xmiss
+    last = m - (gmin << k)
+    if last > top or last == top and xmin < witness[0]:
+        top, witness = last, (xmin, m, gmin)
+    return top, witness, gmax
 
 
 def _preceding_digits(
@@ -406,10 +386,10 @@ def normality_fast(seq: BitSequence) -> NormalityReport:
     per_k: list[tuple[int, ExactValue]] = []
     best: tuple[int, ...] = (-1, 0)  # num, k, x, m, t; k = 1 beats it
     for k, order, ck, buf in _sorted_windows(seq):
-        num, found, _ = _scan_k(order, ck, k, best, buf)
+        num, witness, _ = _scan_k(order, ck, k, buf)
         per_k.append((k, ExactValue(num, k)))
-        if found is not None:
-            best = (num, k, *found)
+        if _better(num, k, best[0], best[1]):
+            best = (num, k, *witness)
     return _report(n, best, per_k)
 
 
@@ -425,7 +405,7 @@ def normality_value(seq: BitSequence) -> ExactValue:
         if g << bk <= num:
             break
         _, order, ck, buf = next(windows)
-        cand, _, g = _scan_k(order, ck, k, None, buf)
+        cand, _, g = _scan_k(order, ck, k, buf)
         if _better(cand, k, num, bk):
             num, bk = cand, k
     return ExactValue(num, bk)

@@ -91,6 +91,13 @@ class TestBitSequence:
         with pytest.raises(ValueError):
             BitSequence([0, 2])
 
+    def test_reads_bool_and_empty_digits(self):
+        # bools are integers; an empty list or array reads as float64 and holds none
+        assert BitSequence([True, False, 1]).to01() == "101"
+        assert BitSequence(np.array([1, 0], dtype=bool)).to01() == "10"
+        for empty in ((), [], np.array([])):
+            assert len(BitSequence(empty)) == 0
+
     def test_immutable(self):
         seq = parse_bits("0110")
         with pytest.raises(AttributeError):
@@ -254,6 +261,10 @@ def test_reports_convert_with_asdict():
                      id="BitSequence"),
         pytest.param(lambda: BitSequence(np.array([1, 2])),
                      "bits must be 0 or 1", id="BitSequence-ndarray"),
+        pytest.param(lambda: BitSequence([0.0, 1.0]), "bits must be integers, got float64",
+                     id="BitSequence-float"),
+        pytest.param(lambda: BitSequence(np.array([0.0, 1.0])),
+                     "bits must be integers, got float64", id="BitSequence-float-ndarray"),
         pytest.param(lambda: BitSequence([[0, 1], [1, 0]]),
                      "bits must be one-dimensional, got shape (2, 2)",
                      id="BitSequence-2d"),

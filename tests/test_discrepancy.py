@@ -2,6 +2,7 @@ import itertools
 import random
 import re
 import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -115,6 +116,11 @@ class TestExtremeDiscrepancy:
     def test_thirds_pair(self):
         rep = extreme_discrepancy(PointSet([Fraction(1, 3), Fraction(2, 3)]))
         assert rep.extreme == Fraction(2, 3)
+
+    def test_integer_points(self):
+        # ints and numpy integers are exact rationals
+        points = PointSet([0, np.uint64(0), np.int8(0), Fraction(1, 3)])
+        assert points.values == (0, 0, 0, Fraction(1, 3))
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -472,6 +478,14 @@ _SQUARE = np.zeros((2, 2), dtype=np.uint64)
     [
         pytest.param(lambda path: PointSet([Fraction(1)]), "point 1 outside [0, 1)",
                      id="PointSet-point"),
+        # only exact rationals: a float, a str or a Decimal is not read
+        pytest.param(lambda path: PointSet([0.1]),
+                     "point 0.1 is not an int or a Fraction", id="PointSet-float"),
+        pytest.param(lambda path: PointSet(["1/3"]),
+                     "point '1/3' is not an int or a Fraction", id="PointSet-str"),
+        pytest.param(lambda path: PointSet([Decimal("0.5")]),
+                     "point Decimal('0.5') is not an int or a Fraction",
+                     id="PointSet-Decimal"),
         pytest.param(lambda path: PointSet.from_dyadic([0], -1),
                      "log2_den -1 outside [0, 64]", id="from_dyadic-negative-w"),
         pytest.param(lambda path: PointSet.from_dyadic([0], 65),

@@ -2,6 +2,7 @@ import re
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from normbits.generators import (
@@ -14,6 +15,7 @@ from normbits.generators import (
     sample_seed,
     splitmix64_outputs,
 )
+from normbits.search import typical_scan
 
 # Golden keystream prefix for seed 1 (regression lock for the PRNG identity).
 GOLDEN_SEED1_N8 = "10010001"
@@ -192,6 +194,11 @@ class TestFileAndSpec:
     def test_spec_parse_label(self, text, label):
         assert GeneratorSpec.parse(text).label() == label
 
+    def test_spec_reads_integers_by_index(self):
+        spec = GeneratorSpec(kind="rational", p=np.int64(1), q=np.uint8(3))
+        assert spec == GeneratorSpec.parse("rational:1/3")
+        assert type(spec.p) is type(spec.q) is int
+
     @pytest.mark.parametrize(
         "bad", ["rational:5", "rational:a/b", "random:x", "file:", "poisson:3", ""]
     )
@@ -238,6 +245,17 @@ class TestFileAndSpec:
                      "champernowne takes no parameters", id="champernowne-param"),
         pytest.param(lambda: GeneratorSpec.parse("bogus"),
                      "unknown generator spec 'bogus'", id="spec"),
+        # a float seed or p is refused, not cast to an integer
+        pytest.param(lambda: GeneratorSpec(kind="random", seed=1.9),
+                     "seed=1.9 is not an integer", id="random-float-seed"),
+        pytest.param(lambda: GeneratorSpec(kind="rational", p=1.0, q=3),
+                     "p=1.0 is not an integer", id="rational-float-p"),
+        pytest.param(lambda: random_bits(1.5, 16),
+                     "seed 1.5 and count 1 must be integers", id="random_bits-float-seed"),
+        pytest.param(lambda: typical_scan(16, 2, 1.5),
+                     "seed 1.5 and count 2 must be integers", id="typical_scan-float-seed"),
+        pytest.param(lambda: splitmix64_outputs(1, 2.5),  # once 3 outputs
+                     "seed 1 and count 2.5 must be integers", id="splitmix64-float-count"),
         pytest.param(lambda: splitmix64_outputs(1, -1), "count must be >= 0",
                      id="splitmix64-count"),
         pytest.param(lambda: random_bits(1, -1), "n must be >= 0", id="random-n"),
