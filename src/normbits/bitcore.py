@@ -19,7 +19,7 @@ import operator
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -27,11 +27,31 @@ __all__ = [
     "ExactValue",
     "BitSequence",
     "Pattern",
+    "check_int",
     "parse_bits",
     "decimal_str",
     "frac_dict",
     "read_ascii",
 ]
+
+
+def check_int(value, name: str, lo: int = 0, hi: Optional[int] = None) -> int:
+    """value as a plain int in [lo, hi] (no upper end when hi is None).
+
+    The one reader of integer arguments: only a value with __index__ is
+    read, so a float or a str is refused rather than cast, and the result
+    is a Python int even for a numpy integer or a bool, so no later shift
+    or product wraps. Anything else raises ValueError naming the argument.
+    """
+    try:
+        v = int(operator.index(value))
+    except TypeError:
+        raise ValueError(f"{name}={value!r} is not an integer") from None
+    if hi is None and v < lo:
+        raise ValueError(f"{name} must be >= {lo}")
+    if hi is not None and not lo <= v <= hi:
+        raise ValueError(f"{name}={v} outside [{lo}, {hi}]")
+    return v
 
 
 def decimal_str(num: int, den: int) -> str:
@@ -71,15 +91,15 @@ class ExactValue(Fraction):
     hashing and arithmetic (a difference or an abs() is a plain Fraction), but
     rebuilds a subclass as cls(numerator, denominator), reading the denominator
     as log2_den; so copy, pickle, from_float and from_decimal are redefined.
-    The numerator is read with operator.index, so a float is refused, not cast.
+    log2_den is read by check_int. The numerator must have __index__: a
+    float raises TypeError, as Fraction(1.5, 4) does, and is not cast.
     """
 
     __slots__ = ()
 
     def __new__(cls, num: int, log2_den: int = 0):
-        if log2_den < 0:
-            raise ValueError("log2_den must be >= 0")
-        return super().__new__(cls, operator.index(num), 1 << log2_den)
+        den = 1 << check_int(log2_den, "log2_den")
+        return super().__new__(cls, operator.index(num), den)
 
     @property
     def num(self) -> int:
@@ -185,8 +205,7 @@ class BitSequence:
         return codecs.charmap_decode(self._bits, "strict", "01".ljust(256))[0]
 
     def prefix(self, m: int) -> "BitSequence":
-        if not 0 <= m <= len(self):
-            raise ValueError(f"prefix length {m} outside [0, {len(self)}]")
+        m = check_int(m, "prefix length m", 0, len(self))
         return BitSequence._adopt(self._bits[:m])
 
     def complement(self) -> "BitSequence":
@@ -211,16 +230,17 @@ class BitSequence:
 
 @dataclass(frozen=True)
 class Pattern:
-    """A block of k binary digits encoded MSB-first as an integer."""
+    """A block of k binary digits encoded MSB-first as an integer; k and
+    value are read by check_int and stored as the ints read."""
 
     k: int
     value: int
 
     def __post_init__(self):
-        if not 1 <= self.k <= 64:
-            raise ValueError(f"pattern length {self.k} outside [1, 64]")
-        if not 0 <= self.value < (1 << self.k):
-            raise ValueError(f"pattern value {self.value} outside [0, 2^{self.k})")
+        k = check_int(self.k, "k", 1, 64)
+        value = check_int(self.value, "value", 0, (1 << k) - 1)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "value", value)
 
     @classmethod
     def from01(cls, text: str) -> "Pattern":

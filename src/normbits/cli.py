@@ -56,15 +56,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bits", help=f"inline bit string (at most {MAX_INLINE_BITS})")
     p.add_argument("--input", help="path to a bit-text file")
     p.add_argument("--gen", help="generator spec (needs --n)")
-    p.add_argument("--n", type=int, help="number of generated digits")
+    p.add_argument("--n", type=int, help="number of generated digits (only with --gen)")
     p.add_argument("--algorithm", choices=("fast", "naive"), default="fast")
     add_common(p)
 
     p = sub.add_parser("discrepancy", help="extreme/star discrepancy of points")
     p.add_argument("--points", help="path to a file of num/2^w lines")
     p.add_argument("--gen", help="generator spec for orbit points (needs --n)")
-    p.add_argument("--n", type=int, help="number of orbit points")
-    p.add_argument("--w", type=int, default=64, help="orbit window bits")
+    p.add_argument("--n", type=int, help="number of orbit points (only with --gen)")
+    p.add_argument("--w", type=int, help="window bits, default 64 (only with --gen)")
     add_common(p)
 
     p = sub.add_parser("verify-lemma", help="check measure <= envelope bound")
@@ -106,6 +106,8 @@ def _load_sequence(args) -> BitSequence:
     sources = [s for s in (args.bits, args.input, args.gen) if s is not None]
     if len(sources) != 1:
         raise ValueError("provide exactly one of --bits, --input, --gen")
+    if args.gen is None and args.n is not None:
+        raise ValueError("--n requires --gen")
     if args.bits is not None:
         if len(args.bits) > MAX_INLINE_BITS:
             raise ValueError(
@@ -157,17 +159,20 @@ def _cmd_discrepancy(args) -> Payload:
     if len(sources) != 1:
         raise ValueError("provide exactly one of --points, --gen")
     if args.points is not None:
-        points = parse_points_file(args.points)
+        if (args.n, args.w) != (None, None):
+            raise ValueError("--n and --w require --gen")
+        points, w = parse_points_file(args.points), None
     else:
         if args.n is None:
             raise ValueError("--gen requires --n")
+        w = 64 if args.w is None else args.w
         check_single_set_n(args.n)
-        points = orbit_points(GeneratorSpec.parse(args.gen).stream(), args.n, args.w)
+        points = orbit_points(GeneratorSpec.parse(args.gen).stream(), args.n, w)
     fields = {
         "points": args.points,
         "gen": args.gen,
         "n": points.size,
-        "w": args.w if args.gen else None,
+        "w": w,
     }
     d = extreme_discrepancy(points).to_json_dict()
     rows = [

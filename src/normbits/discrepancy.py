@@ -42,7 +42,6 @@ from __future__ import annotations
 import heapq
 import math
 import numbers
-import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -50,7 +49,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .bitcore import frac_dict, read_ascii
+from .bitcore import check_int, frac_dict, read_ascii
 
 __all__ = [
     "PointSet",
@@ -95,9 +94,8 @@ class PointSet:
 
     @classmethod
     def from_dyadic(cls, numerators, log2_den: int) -> "PointSet":
-        if not 0 <= log2_den <= 64:
-            raise ValueError(f"log2_den {log2_den} outside [0, 64]")
-        return cls._of(check_numerators(numerators, log2_den), 1 << log2_den)
+        nums, w = check_numerators(numerators, log2_den)
+        return cls._of(nums, 1 << w)
 
     @classmethod
     def _of(cls, nums: np.ndarray, den: int) -> "PointSet":
@@ -121,8 +119,7 @@ class PointSet:
         return self.nums, self.den.bit_length() - 1
 
     def prefix(self, m: int) -> "PointSet":
-        if not 0 <= m <= self.size:
-            raise ValueError(f"prefix length {m} outside [0, {self.size}]")
+        m = check_int(m, "prefix length m", 0, self.size)
         return PointSet._of(self.nums[:m], self.den)
 
 
@@ -290,51 +287,42 @@ def check_prefix_n(n: int) -> None:
 
 
 def check_checkpoints(checkpoints: Iterable[int], n: int) -> list[int]:
-    """The checkpoints as a list: integers (read with operator.index, never
-    cast), not empty, strictly increasing and within [1, n]; else ValueError."""
-    try:
-        cps = [operator.index(c) for c in checkpoints]
-    except TypeError:
-        raise ValueError("checkpoints must be integers") from None
+    """The checkpoints as a list of ints, each read by check_int in [1, n];
+    an empty or not strictly increasing list raises ValueError."""
+    cps = [check_int(c, "checkpoint", 1, n) for c in checkpoints]
     if not cps:
         raise ValueError("empty checkpoint list")
     if any(b <= a for a, b in zip(cps, cps[1:])):
         raise ValueError("checkpoints must increase strictly")
-    if cps[0] < 1 or cps[-1] > n:
-        raise ValueError(f"checkpoints must lie in [1, {n}]")
     return cps
 
 
-def check_numerators(nums, w: int) -> np.ndarray:
-    """The numerators of points over 2^w, w in [0, 64], as a 1-D uint64 array.
+def check_numerators(nums, w: int) -> tuple[np.ndarray, int]:
+    """(numerators, w) for points over 2^w: a 1-D uint64 array and an int.
 
-    An integer array needs at most its min and max. Other input is read by
-    operator.index, never by numpy's dtype inference ([2^64 - 1, 0] would be
-    float64). Nothing is cast: a non-integer, a negative value, a value of
-    2^w or more, or input that is not 1-D raises ValueError.
+    w is read by check_int in [0, 64]. An integer array needs at most its
+    min and max; other input is read element by element by check_int, never
+    by numpy's dtype inference ([2^64 - 1, 0] would be float64). Nothing is
+    cast: a non-integer, a value outside [0, 2^w), or input that is not 1-D
+    raises ValueError.
     """
-    if not 0 <= w <= 64:
-        raise ValueError(f"w={w} outside [0, 64]")
+    w = check_int(w, "w", 0, 64)
+    top = (1 << w) - 1
     if not isinstance(nums, np.ndarray):
         nums = np.array(nums, dtype=object)
     if nums.ndim != 1:
         raise ValueError("numerators must be one-dimensional")
     if nums.dtype == object:
-        try:
-            ints = [operator.index(a) for a in nums.tolist()]
-        except TypeError:
-            raise ValueError("numerators must be integers") from None
-        lo, hi = min(ints, default=0), max(ints, default=0)
-    elif nums.dtype.kind in "iu":
-        lo = int(nums.min()) if nums.dtype.kind == "i" and nums.size else 0
-        hi = int(nums.max()) if w < 64 and nums.size else 0
-    else:
+        for a in nums.tolist():
+            check_int(a, "numerator", 0, top)
+    elif nums.dtype.kind not in "iu":
         raise ValueError("numerators must be integers")
-    if lo < 0:
-        raise ValueError("negative numerator")
-    if hi >= 1 << w:
-        raise ValueError(f"numerator >= 2^{w}")
-    return nums.astype(np.uint64, copy=False)
+    elif nums.size:
+        if nums.dtype.kind == "i":
+            check_int(nums.min(), "numerator", 0, top)
+        if w < 64:
+            check_int(nums.max(), "numerator", 0, top)
+    return nums.astype(np.uint64, copy=False), w
 
 
 def prefix_deviation_numerators(nums: np.ndarray, w: int) -> list[int]:
@@ -345,7 +333,7 @@ def prefix_deviation_numerators(nums: np.ndarray, w: int) -> list[int]:
     Each step inserts one point into the sorted numerators and runs the
     kernel with M = m.
     """
-    nums = check_numerators(nums, w)
+    nums, w = check_numerators(nums, w)
     n = nums.size
     check_prefix_n(n)
     ranks = _ranks(n, w)
@@ -383,7 +371,7 @@ def phi_envelope(nums: np.ndarray, w: int, checkpoints: Sequence[int]) -> list[i
     running maximum of prefix_deviation_numerators gives every value at
     once, and is the oracle.
     """
-    nums = check_numerators(nums, w)
+    nums, w = check_numerators(nums, w)
     n = nums.size
     if n == 0:
         raise ValueError("empty point set")

@@ -17,13 +17,12 @@ yields identical digits on every platform.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .bitcore import BitSequence, parse_bits, read_ascii
+from .bitcore import BitSequence, check_int, parse_bits, read_ascii
 
 __all__ = [
     "RANDOM_ALGORITHM",
@@ -43,19 +42,14 @@ RANDOM_ALGORITHM = "splitmix64"
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
+MAX_SEED = (1 << 64) - 1
 
 
 def splitmix64_outputs(seed: int, count: int) -> np.ndarray:
-    """First `count` 64-bit splitmix64 outputs for a seed in [0, 2^64); both
-    are read with operator.index, so a float is refused, not cast."""
-    try:
-        seed, count = operator.index(seed), operator.index(count)
-    except TypeError:
-        raise ValueError(f"seed {seed!r} and count {count!r} must be integers") from None
-    if not 0 <= seed < 1 << 64:
-        raise ValueError(f"seed {seed} outside [0, 2^64)")
-    if count < 0:
-        raise ValueError("count must be >= 0")
+    """First `count` 64-bit splitmix64 outputs for a seed in [0, MAX_SEED];
+    check_int reads both."""
+    seed = check_int(seed, "seed", 0, MAX_SEED)
+    count = check_int(count, "count")
     idx = np.arange(1, count + 1, dtype=np.uint64)
     z = np.uint64(seed) + idx * _GOLDEN
     z = (z ^ (z >> np.uint64(30))) * _MIX1
@@ -65,13 +59,13 @@ def splitmix64_outputs(seed: int, count: int) -> np.ndarray:
 
 def sample_seed(seed: int, index: int) -> int:
     """Derived per-sample seed: splitmix64 output number `index` of `seed`."""
+    index = check_int(index, "index")
     return int(splitmix64_outputs(seed, index + 1)[index])
 
 
 def random_bits(seed: int, n: int) -> BitSequence:
     """n keystream bits from splitmix64, MSB-first within each 64-bit output."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    n = check_int(n, "n")
     words = splitmix64_outputs(seed, (n + 63) // 64)
     raw = words.astype(">u8").view(np.uint8)
     bits = np.unpackbits(raw, count=n) if n else np.zeros(0, dtype=np.uint8)
@@ -84,8 +78,7 @@ def champernowne_bits(n: int) -> BitSequence:
     Each bit length's integers fill a (count, length) block, one column per
     bit; digit n lies in an integer <= n, so n + n.bit_length() holds it.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    n = check_int(n, "n")
     out = np.empty(n + n.bit_length(), dtype=np.uint8)
     pos, length = 0, 1
     while pos < n:
@@ -102,12 +95,9 @@ def champernowne_bits(n: int) -> BitSequence:
 
 def rational_bits(p: int, q: int, n: int) -> BitSequence:
     """First n binary digits of p/q via long division; eventually periodic."""
-    if q == 0:
-        raise ValueError("q must be nonzero")
-    if not 0 <= p < q:
-        raise ValueError(f"require 0 <= p < q, got {p}/{q}")
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    q = check_int(q, "q", 1)
+    p = check_int(p, "p", 0, q - 1)
+    n = check_int(n, "n")
     out = bytearray(n)
     r = p
     for i in range(n):
@@ -135,6 +125,7 @@ def file_bits(path: str, n: Optional[int] = None) -> BitSequence:
         raise ValueError(f"{path}: {exc}") from None
     if n is None:
         return seq
+    n = check_int(n, "n")
     if len(seq) < n:
         raise StreamExhausted(f"{path}: stream exhausted ({len(seq)} < {n} digits)")
     return seq.prefix(n)
@@ -158,8 +149,10 @@ class DigitStream:
 @dataclass(frozen=True)
 class GeneratorSpec:
     """Fully determines a digit stream (same spec => same digits). A kind
-    takes exactly its own fields (_FIELDS); any other field set is a ValueError,
-    as is a p, q or seed that operator.index does not read as an integer.
+    takes exactly its own fields (_FIELDS); any other field set is a
+    ValueError. check_int reads p (>= 0), q (>= 1) and seed (in [0,
+    MAX_SEED]), which are stored as the ints read; p < q is checked by
+    rational_bits.
     """
 
     kind: str
@@ -182,13 +175,9 @@ class GeneratorSpec:
         given = [f for f in ("p", "q", "seed", "path") if getattr(self, f) is not None]
         if tuple(given) != want:
             raise ValueError(f"{self.kind} takes exactly the fields {list(want)}")
-        for f in ("p", "q", "seed"):
-            value = getattr(self, f)
-            try:
-                if value is not None:
-                    object.__setattr__(self, f, operator.index(value))
-            except TypeError:
-                raise ValueError(f"{f}={value!r} is not an integer") from None
+        for f, lo, hi in (("p", 0, None), ("q", 1, None), ("seed", 0, MAX_SEED)):
+            if getattr(self, f) is not None:
+                object.__setattr__(self, f, check_int(getattr(self, f), f, lo, hi))
 
     @classmethod
     def parse(cls, text: str) -> "GeneratorSpec":

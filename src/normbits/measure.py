@@ -50,7 +50,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bitcore import BitSequence, ExactValue, Pattern
+from .bitcore import BitSequence, ExactValue, Pattern, check_int
 
 __all__ = [
     "NormalityReport", "count_occurrences", "normality_naive", "normality_fast",
@@ -103,8 +103,7 @@ def count_occurrences(seq: BitSequence, m: int, pattern: Pattern) -> int:
     k = pattern.k
     if k > n:
         raise ValueError(f"pattern length {k} exceeds sequence length {n}")
-    if not 1 <= m <= n + 1 - k:
-        raise ValueError(f"M={m} outside [1, {n + 1 - k}]")
+    m = check_int(m, "M", 1, n + 1 - k)
     mask = (1 << k) - 1
     code = 0
     for i in range(k - 1):

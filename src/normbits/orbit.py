@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .bitcore import BitSequence, ExactValue, Pattern, frac_dict
+from .bitcore import BitSequence, ExactValue, Pattern, check_int, frac_dict
 from .discrepancy import PointSet, check_checkpoints, check_prefix_n, phi_envelope
 from .generators import DigitStream, StreamExhausted
 from .measure import (
@@ -55,12 +55,13 @@ def _window_numerators(bits: np.ndarray, count: int, w: int) -> np.ndarray:
     return nums
 
 
-def _check_window(n: int, w: int) -> None:
-    if not 1 <= w <= 64:
-        raise ValueError(f"window bits w={w} outside [1, 64]")
+def _check_window(n: int, w: int) -> int:
+    """w read in [1, 64] and wide enough for every k-window of n digits."""
+    w = check_int(w, "window bits w", 1, 64)
     need = max_block_length(n) + 1
     if w < need:
         raise ValueError(f"w={w} too small for n={n}; need w >= {need}")
+    return w
 
 
 def _orbit_digits(stream: DigitStream, count: int, w: int) -> BitSequence:
@@ -86,9 +87,8 @@ def orbit_points(stream: DigitStream, n: int, w: int) -> PointSet:
     share the denominator 2^w. Requires w > log2(n) so that every
     admissible pattern length is covered by the truncation.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    _check_window(n, w)
+    n = check_int(n, "n")
+    w = _check_window(n, w)
     digits = _orbit_digits(stream, n, w) if n else BitSequence()
     nums = _window_numerators(digits.to_numpy(), n, w)
     return PointSet.from_dyadic(nums, w)
@@ -101,10 +101,8 @@ def count_via_orbit(stream: DigitStream, m: int, pattern: Pattern, w: int) -> in
     Must agree with measure.count_occurrences on the same digits; the
     agreement is the bridge this module is built on.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if not 1 <= w <= 64:
-        raise ValueError(f"window bits w={w} outside [1, 64]")
+    m = check_int(m, "m", 1)
+    w = check_int(w, "window bits w", 1, 64)
     if pattern.k > w:
         raise ValueError(f"pattern length {pattern.k} exceeds window bits {w}")
     digits = _orbit_digits(stream, m, w)
@@ -149,8 +147,7 @@ class VerificationReport:
 
 def default_checkpoints(n: int) -> list[int]:
     """Powers of two up to n, plus n itself."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = check_int(n, "n", 1)
     cps = []
     p = 1
     while p <= n:
@@ -177,9 +174,8 @@ def lemma1_verify(
     inequality is exact (no epsilon handling). Given checkpoints are sorted,
     deduplicated and passed to check_checkpoints before any digit is read.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    _check_window(n, w)
+    n = check_int(n, "n", 1)
+    w = _check_window(n, w)
     check_prefix_n(n)
     if checkpoints is None:
         cps = default_checkpoints(n)

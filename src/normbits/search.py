@@ -36,8 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitcore import BitSequence, ExactValue
-from .generators import RANDOM_ALGORITHM, random_bits, splitmix64_outputs
+from .bitcore import BitSequence, ExactValue, check_int
+from .generators import MAX_SEED, RANDOM_ALGORITHM, random_bits, splitmix64_outputs
 from .measure import check_measure_n, max_block_length, normality_value
 
 __all__ = ["SearchResult", "ScanStats", "exhaustive_min", "typical_scan"]
@@ -87,11 +87,9 @@ class ScanStats:
         }
 
 
-def check_search_n(n: int, prune: bool = True) -> None:
-    top = MAX_SEARCH_N if prune else MAX_PLAIN_N
-    if not 1 <= n <= top:
-        suffix = "" if prune else " without pruning"
-        raise ValueError(f"n={n} outside [1, {top}]{suffix}")
+def check_search_n(n: int, prune: bool = True) -> int:
+    """n read in [1, MAX_SEARCH_N], or [1, MAX_PLAIN_N] without pruning."""
+    return check_int(n, "n", 1, MAX_SEARCH_N if prune else MAX_PLAIN_N)
 
 
 def _walk(n: int, klim: int, cap: int, limit: int, prune: bool) -> tuple:
@@ -158,9 +156,8 @@ def exhaustive_min(n: int, cap: int = 16, prune: bool = True) -> SearchResult:
     one's complement attains the same value and is not listed).
     `nodes_visited` and `pruned` are summed over all walks.
     """
-    check_search_n(n, prune)
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
+    n = check_search_n(n, prune)
+    cap = check_int(cap, "cap", 1)
     klim = max_block_length(n)
     # the measure never exceeds n, so n << klim cuts nothing
     limit = 0 if prune else n << klim
@@ -190,10 +187,9 @@ def typical_scan(n: int, samples: int, seed: int) -> ScanStats:
     scan is reproducible from (n, samples, seed) alone. Quantiles use
     numpy's linear interpolation.
     """
-    if not 1 <= samples <= MAX_SCAN_SAMPLES:
-        raise ValueError(f"samples={samples} outside [1, 2^24]")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    samples = check_int(samples, "samples", 1, MAX_SCAN_SAMPLES)
+    n = check_int(n, "n", 1)
+    seed = check_int(seed, "seed", 0, MAX_SEED)
     check_measure_n(n)
     root = math.sqrt(n)
     ratios = np.empty(samples, dtype=np.float64)

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import json
 import pickle
 import random
 import re
@@ -11,11 +12,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from normbits.bitcore import BitSequence, ExactValue, Pattern, decimal_str, parse_bits
-from normbits.generators import GeneratorSpec, random_bits, rational_bits
+from normbits.bitcore import (
+    BitSequence, ExactValue, Pattern, check_int, decimal_str, parse_bits,
+)
+from normbits.discrepancy import PointSet, extreme_discrepancy, phi_envelope
+from normbits.generators import (
+    GeneratorSpec, champernowne_bits, random_bits, rational_bits,
+)
 from normbits.measure import normality_fast
-from normbits.orbit import lemma1_verify
-from normbits.search import exhaustive_min
+from normbits.orbit import default_checkpoints, lemma1_verify, orbit_points
+from normbits.search import exhaustive_min, typical_scan
 
 
 class TestParseFormat:
@@ -274,12 +280,12 @@ def test_reports_convert_with_asdict():
         pytest.param(lambda: BitSequence.from01("0a1"),
                      "invalid binary digit(s): ['a']", id="from01"),
         pytest.param(lambda: parse_bits("01").prefix(3),
-                     "prefix length 3 outside [0, 2]", id="prefix-long"),
+                     "prefix length m=3 outside [0, 2]", id="prefix-long"),
         pytest.param(lambda: parse_bits("01").prefix(-1),
-                     "prefix length -1 outside [0, 2]", id="prefix-negative"),
-        pytest.param(lambda: Pattern(65, 0), "pattern length 65 outside [1, 64]",
+                     "prefix length m=-1 outside [0, 2]", id="prefix-negative"),
+        pytest.param(lambda: Pattern(65, 0), "k=65 outside [1, 64]",
                      id="Pattern-k"),
-        pytest.param(lambda: Pattern(2, 4), "pattern value 4 outside [0, 2^2)",
+        pytest.param(lambda: Pattern(2, 4), "value=4 outside [0, 3]",
                      id="Pattern-value"),
         pytest.param(lambda: Pattern.from01(""), "invalid pattern string ''",
                      id="Pattern-empty"),
@@ -310,3 +316,82 @@ def test_reports_convert_with_asdict():
 def test_argument_checks(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
+
+
+@pytest.mark.parametrize(
+    "value,lo,hi",
+    [(True, 0, 1), (np.uint64((1 << 64) - 1), 0, None), (np.int8(-3), -5, 0),
+     (np.uint8(41), 1, 64)],
+)
+def test_check_int_reads_a_plain_int(value, lo, hi):
+    v = check_int(value, "x", lo, hi)
+    assert type(v) is int and v == int(value)
+
+
+def _spec_stream():
+    return GeneratorSpec.parse("random:1").stream()
+
+
+def _nums(n, w):
+    """The first n random:1 orbit points of w bits, read with a plain int w."""
+    return orbit_points(_spec_stream(), n, int(w)).nums
+
+
+def _envelope(w):
+    """2^w*Phi at 2^0 .. 2^14 for the 2^14 random:1 orbit points of w bits."""
+    return phi_envelope(_nums(1 << 14, w), w, [1 << i for i in range(15)])
+
+
+def _points(ps):
+    return [ps.nums.tolist(), ps.den]
+
+
+# Each integer argument is read once, by check_int. A numpy integer gives
+# the result (as JSON, which takes no numpy scalar) of the same plain int;
+# before, it wrapped or overflowed inside a shift. A float is refused, not
+# cast or passed on.
+@pytest.mark.parametrize(
+    "call,arg,want",
+    [
+        pytest.param(_envelope, np.int64(50), 50, id="phi_envelope-w50"),
+        pytest.param(_envelope, np.int64(56), 56, id="phi_envelope-w56"),
+        pytest.param(_envelope, np.int64(63), 63, id="phi_envelope-w63"),
+        pytest.param(_envelope, np.int64(64), 64, id="phi_envelope-w64"),
+        pytest.param(_envelope, np.uint8(41), 41, id="phi_envelope-uint8"),
+        pytest.param(lambda w: _points(PointSet.from_dyadic(_nums(256, w), w)),
+                     np.int64(64), 64, id="from_dyadic-w64"),
+        pytest.param(lambda w: extreme_discrepancy(
+                         PointSet.from_dyadic(_nums(256, w), w)).to_json_dict(),
+                     np.int64(41), 41, id="from_dyadic-discrepancy"),
+        pytest.param(lambda w: _points(orbit_points(_spec_stream(), 256, w)),
+                     np.int64(64), 64, id="orbit_points-w64"),
+        pytest.param(lambda w: lemma1_verify(_spec_stream(), 256, w).to_json_dict(),
+                     np.int64(40), 40, id="lemma1_verify-w40"),
+        pytest.param(lambda w: lemma1_verify(_spec_stream(), 256, w).to_json_dict(),
+                     np.int64(64), 64, id="lemma1_verify-w64"),
+        pytest.param(lambda d: ExactValue(3, d).json_fields(), np.int64(70), 70,
+                     id="ExactValue-log2_den"),
+        pytest.param(lambda k: dataclasses.astuple(Pattern(k, np.int64(5))),
+                     np.int64(63), 63, id="Pattern-k63"),
+        pytest.param(lambda seed: typical_scan(16, 2, seed).to_json_dict(),
+                     np.uint64(7), 7, id="typical_scan-seed"),
+        pytest.param(lambda v: Pattern(2, v), 1.5, "value=1.5 is not an integer",
+                     id="Pattern-float-value"),
+        pytest.param(default_checkpoints, 5.0, "n=5.0 is not an integer",
+                     id="default_checkpoints-float"),
+        pytest.param(lambda w: orbit_points(_spec_stream(), 8, w), 8.0,
+                     "window bits w=8.0 is not an integer", id="orbit_points-float-w"),
+        pytest.param(champernowne_bits, 2.5, "n=2.5 is not an integer",
+                     id="champernowne-float-n"),
+        pytest.param(exhaustive_min, 3.0, "n=3.0 is not an integer",
+                     id="exhaustive_min-float-n"),
+        pytest.param(lambda n: lemma1_verify(_spec_stream(), n, 16), 8.0,
+                     "n=8.0 is not an integer", id="lemma1_verify-float-n"),
+    ],
+)
+def test_integer_arguments(call, arg, want):
+    if isinstance(want, str):
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            call(arg)
+    else:
+        assert json.dumps(call(arg)) == json.dumps(call(want))

@@ -223,7 +223,7 @@ def test_plain_search_range_checked_before_searching(cap, monkeypatch, text, bad
     monkeypatch.setattr(cli, "exhaustive_min", fail)
     code, out, err = cap(["search-min", "--n", text, "--no-prune"])
     assert (code, out) == (2, "")
-    assert err.splitlines() == [f"error: n={bad} outside [1, 26] without pruning"]
+    assert err.splitlines() == [f"error: n={bad} outside [1, 26]"]
 
 
 @pytest.mark.parametrize(
@@ -352,7 +352,7 @@ def test_scan_samples_limit(cap, monkeypatch):
     samples = str((1 << 24) + 1)
     code, out, err = cap(["scan", "--n", "16", "--samples", samples, "--seed", "1"])
     assert (code, out) == (2, "")
-    assert err.splitlines() == ["error: samples=16777217 outside [1, 2^24]"]
+    assert err.splitlines() == ["error: samples=16777217 outside [1, 16777216]"]
 
 
 @pytest.mark.parametrize(
@@ -365,9 +365,18 @@ def test_scan_samples_limit(cap, monkeypatch):
         (["measure", "--gen", "random:1"], "--gen requires --n"),
         (["verify-lemma", "--gen", "random:1", "--n", "8", "--checkpoints", "1,x"],
          "invalid checkpoint list '1,x'"),
+        # --n and --w size generated input only; the files named do not exist,
+        # so the refusal comes before any input is read
+        (["measure", "--bits", "0101", "--n", "1000"], "--n requires --gen"),
+        (["measure", "--input", "missing.txt", "--n", "8"], "--n requires --gen"),
+        (["discrepancy", "--points", "missing.txt", "--n", "50", "--w", "8"],
+         "--n and --w require --gen"),
+        (["discrepancy", "--points", "missing.txt", "--w", "8"],
+         "--n and --w require --gen"),
     ],
     ids=["discrepancy-neither", "discrepancy-both", "discrepancy-no-n",
-         "measure-no-n", "verify-lemma-checkpoints"],
+         "measure-no-n", "verify-lemma-checkpoints", "measure-bits-n",
+         "measure-input-n", "discrepancy-points-n-w", "discrepancy-points-w"],
 )
 def test_source_and_checkpoint_validation(cap, argv, message):
     code, out, err = cap(argv)
@@ -375,19 +384,27 @@ def test_source_and_checkpoint_validation(cap, argv, message):
     assert err.splitlines() == [f"error: {message}"]
 
 
+def test_discrepancy_default_w_echoed(cap):
+    code, out, _ = cap(["discrepancy", "--gen", "random:1", "--n", "8"])
+    assert code == 0
+    assert json.loads(out)["config"]["w"] == 64
+
+
 @pytest.mark.parametrize(
-    "argv,seed",
+    "argv,message",
     [
-        (["generate", "--gen", "random:-1", "--n", "8"], -1),
-        (["generate", "--gen", f"random:{1 << 64}", "--n", "8"], 1 << 64),
-        (["scan", "--n", "64", "--samples", "2", "--seed", "-1"], -1),
+        (["generate", "--gen", "random:-1", "--n", "8"], "invalid random seed '-1'"),
+        (["generate", "--gen", f"random:{1 << 64}", "--n", "8"],
+         f"invalid random seed '{1 << 64}'"),
+        (["scan", "--n", "64", "--samples", "2", "--seed", "-1"],
+         f"seed=-1 outside [0, {(1 << 64) - 1}]"),
     ],
     ids=["random-minus-1", "random-2-64", "scan-minus-1"],
 )
-def test_seed_outside_64_bits_refused(cap, argv, seed):
+def test_seed_outside_64_bits_refused(cap, argv, message):
     code, out, err = cap(argv)
     assert (code, out) == (2, "")
-    assert err.splitlines() == [f"error: seed {seed} outside [0, 2^64)"]
+    assert err.splitlines() == [f"error: {message}"]
 
 
 def test_largest_seed_accepted(cap):

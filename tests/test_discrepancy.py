@@ -393,10 +393,10 @@ class TestPhiEnvelope:
         [
             ([4, 2], "increase strictly"),
             ([2, 2], "increase strictly"),
-            ([0, 3], r"lie in \[1, 6\]"),
-            ([3, 7], r"lie in \[1, 6\]"),
+            ([0, 3], r"^checkpoint=0 outside \[1, 6\]$"),
+            ([3, 7], r"^checkpoint=7 outside \[1, 6\]$"),
             ([], "empty checkpoint list"),
-            ([1.5, 2], "checkpoints must be integers"),
+            ([1.5, 2], r"^checkpoint=1\.5 is not an integer$"),
         ],
         ids=["unsorted", "duplicate", "zero", "past-n", "empty", "float"],
     )
@@ -487,27 +487,29 @@ _SQUARE = np.zeros((2, 2), dtype=np.uint64)
                      "point Decimal('0.5') is not an int or a Fraction",
                      id="PointSet-Decimal"),
         pytest.param(lambda path: PointSet.from_dyadic([0], -1),
-                     "log2_den -1 outside [0, 64]", id="from_dyadic-negative-w"),
+                     "w=-1 outside [0, 64]", id="from_dyadic-negative-w"),
         pytest.param(lambda path: PointSet.from_dyadic([0], 65),
-                     "log2_den 65 outside [0, 64]", id="from_dyadic-wide"),
+                     "w=65 outside [0, 64]", id="from_dyadic-wide"),
         pytest.param(lambda path: PointSet.from_dyadic([[0, 1]], 4),
                      "numerators must be one-dimensional", id="from_dyadic-2d"),
         pytest.param(lambda path: PointSet.from_dyadic([3, 16], 4),
-                     "numerator >= 2^4", id="from_dyadic-numerator"),
+                     "numerator=16 outside [0, 15]", id="from_dyadic-numerator"),
         pytest.param(lambda path: PointSet.from_dyadic(_FLOATS, 8),
                      "numerators must be integers", id="from_dyadic-float"),
         pytest.param(lambda path: PointSet.from_dyadic([0, 1.5], 8),
-                     "numerators must be integers", id="from_dyadic-float-list"),
+                     "numerator=1.5 is not an integer", id="from_dyadic-float-list"),
         pytest.param(lambda path: PointSet.from_dyadic(np.array([-1, 3]), 64),
-                     "negative numerator", id="from_dyadic-negative"),
+                     "numerator=-1 outside [0, 18446744073709551615]",
+                     id="from_dyadic-negative"),
         pytest.param(lambda path: PointSet.from_dyadic([3, -1], 8),
-                     "negative numerator", id="from_dyadic-negative-list"),
+                     "numerator=-1 outside [0, 255]", id="from_dyadic-negative-list"),
         pytest.param(lambda path: PointSet.from_dyadic([0, 1 << 64], 64),
-                     "numerator >= 2^64", id="from_dyadic-2^64"),
+                     "numerator=18446744073709551616 outside [0, 18446744073709551615]",
+                     id="from_dyadic-2^64"),
         pytest.param(lambda path: PointSet.from_dyadic([3], 4).prefix(2),
-                     "prefix length 2 outside [0, 1]", id="prefix-long"),
+                     "prefix length m=2 outside [0, 1]", id="prefix-long"),
         pytest.param(lambda path: PointSet.from_dyadic([3], 4).prefix(-1),
-                     "prefix length -1 outside [0, 1]", id="prefix-negative"),
+                     "prefix length m=-1 outside [0, 1]", id="prefix-negative"),
         pytest.param(lambda path: prefix_deviation_numerators([0], -1),
                      "w=-1 outside [0, 64]", id="prefix_engine-w"),
         pytest.param(lambda path: phi_envelope([0], -1, [1]),
@@ -515,15 +517,16 @@ _SQUARE = np.zeros((2, 2), dtype=np.uint64)
         pytest.param(lambda path: phi_envelope([0], 65, [1]),
                      "w=65 outside [0, 64]", id="phi_envelope-wide"),
         pytest.param(lambda path: phi_envelope(_PAST_2_8, 8, [1, 2, 3]),
-                     "numerator >= 2^8", id="phi_envelope-numerator"),
+                     "numerator=1099511627776 outside [0, 255]", id="phi_envelope-numerator"),
         pytest.param(lambda path: prefix_deviation_numerators(_PAST_2_8, 8),
-                     "numerator >= 2^8", id="prefix_engine-numerator"),
+                     "numerator=1099511627776 outside [0, 255]", id="prefix_engine-numerator"),
         pytest.param(lambda path: phi_envelope(_FLOATS, 8, [1, 2]),
                      "numerators must be integers", id="phi_envelope-float"),
         pytest.param(lambda path: prefix_deviation_numerators(_FLOATS, 8),
                      "numerators must be integers", id="prefix_engine-float"),
         pytest.param(lambda path: phi_envelope(np.array([-1, 3]), 64, [1, 2]),
-                     "negative numerator", id="phi_envelope-negative"),
+                     "numerator=-1 outside [0, 18446744073709551615]",
+                     id="phi_envelope-negative"),
         pytest.param(lambda path: phi_envelope(_SQUARE, 8, [1, 2]),
                      "numerators must be one-dimensional", id="phi_envelope-2d"),
         pytest.param(lambda path: prefix_deviation_numerators(_SQUARE, 8),

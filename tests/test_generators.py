@@ -144,7 +144,8 @@ class TestRandom:
 
     @pytest.mark.parametrize("seed", [-1, 1 << 64])
     def test_seed_outside_64_bits_refused(self, seed):
-        with pytest.raises(ValueError, match=r"outside \[0, 2\^64\)$"):
+        message = f"seed={seed} outside [0, {(1 << 64) - 1}]"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             splitmix64_outputs(seed, 0)
         with pytest.raises(ValueError):
             random_bits(seed, 1)
@@ -251,11 +252,11 @@ class TestFileAndSpec:
         pytest.param(lambda: GeneratorSpec(kind="rational", p=1.0, q=3),
                      "p=1.0 is not an integer", id="rational-float-p"),
         pytest.param(lambda: random_bits(1.5, 16),
-                     "seed 1.5 and count 1 must be integers", id="random_bits-float-seed"),
+                     "seed=1.5 is not an integer", id="random_bits-float-seed"),
         pytest.param(lambda: typical_scan(16, 2, 1.5),
-                     "seed 1.5 and count 2 must be integers", id="typical_scan-float-seed"),
+                     "seed=1.5 is not an integer", id="typical_scan-float-seed"),
         pytest.param(lambda: splitmix64_outputs(1, 2.5),  # once 3 outputs
-                     "seed 1 and count 2.5 must be integers", id="splitmix64-float-count"),
+                     "count=2.5 is not an integer", id="splitmix64-float-count"),
         pytest.param(lambda: splitmix64_outputs(1, -1), "count must be >= 0",
                      id="splitmix64-count"),
         pytest.param(lambda: random_bits(1, -1), "n must be >= 0", id="random-n"),
@@ -263,9 +264,9 @@ class TestFileAndSpec:
                      id="champernowne-n"),
         pytest.param(lambda: rational_bits(1, 3, -1), "n must be >= 0",
                      id="rational-n"),
-        pytest.param(lambda: rational_bits(1, 0, 4), "q must be nonzero",
+        pytest.param(lambda: rational_bits(1, 0, 4), "q must be >= 1",
                      id="rational-q"),
-        pytest.param(lambda: rational_bits(3, 2, 4), "require 0 <= p < q, got 3/2",
+        pytest.param(lambda: rational_bits(3, 2, 4), "p=3 outside [0, 1]",
                      id="rational-p"),
     ],
 )

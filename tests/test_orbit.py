@@ -244,10 +244,10 @@ def _unread():
         pytest.param(lambda: lemma1_verify(_unread(), 16, 16, checkpoints=[]),
                      "empty checkpoint list", id="lemma1_verify-no-checkpoints"),
         pytest.param(lambda: lemma1_verify(_unread(), 16, 16, checkpoints=[0, 4]),
-                     "checkpoints must lie in [1, 16]",
+                     "checkpoint=0 outside [1, 16]",
                      id="lemma1_verify-checkpoint"),
         pytest.param(lambda: lemma1_verify(_unread(), 16, 16, checkpoints=[2.5]),
-                     "checkpoints must be integers", id="lemma1_verify-float"),
+                     "checkpoint=2.5 is not an integer", id="lemma1_verify-float"),
     ],
 )
 def test_argument_checks(call, message):
