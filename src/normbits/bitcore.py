@@ -55,7 +55,8 @@ def check_int(value, name: str, lo: int = 0, hi: Optional[int] = None) -> int:
 
 
 def decimal_str(num: int, den: int) -> str:
-    """Decimal rendering of num/den rounded to 17 significant digits."""
+    """num/den, read by operator.index, in decimal to 17 significant digits."""
+    num, den = operator.index(num), operator.index(den)
     if den <= 0:
         raise ValueError("denominator must be positive")
     with localcontext() as ctx:

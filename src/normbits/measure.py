@@ -16,16 +16,17 @@ provided:
   floor(log2 N) digits that end where it ends: its code is their low k
   bits, and the digit the pass for k prepends is bit k-1, so the digits
   are read once, before the first pass. In that order a window's
-  occurrence rank is its position less its group's start, so both of its
-  terms follow from its position and its end, and each side's peak over
-  a chunk is one argmax or argmin; nothing is scattered back to window
-  order. The positions run in pattern order, then M order, so the first
-  position at the peak is the witness: the scan reads each chunk once
-  per k, and nothing again. Every k's order and digits overwrite k-1's
-  in one pair of N+1 int32 entries; the carry and the scan walk the
-  positions one chunk at a time and write into one set of chunk buffers
-  per call. Besides them and the pair, a call holds a side buffer of two
-  int32 per digit equal to 1, and index and rank arrays of one chunk.
+  occurrence rank r is its position less its group's start, so both of
+  its terms follow from r and its end e, and each side's peak over a
+  chunk is one argmax or argmin of (r-1)*2^k - e; nothing is scattered
+  back to window order. The positions run in pattern order, then M
+  order, so the first position at the peak is the witness. A group of k
+  lies in one of k-1's, so r <= G, k-1's largest group (below), and
+  those terms, in [-N, (G-1)*2^k], are int32 when (G-1)*2^k < 2^31.
+  Every k's order and digits overwrite k-1's in one pair of N+1 int32
+  entries; the carry and the scan walk the positions one chunk at a time
+  and write into one set of chunk buffers per call, beside which a call
+  holds a side buffer of two int32 per digit equal to 1.
 * :func:`normality_value` runs the same passes for the value alone and
   stops before the pass for k once G <= B, where B is the best value over
   the k's before it and G the largest group of equal codes among the
@@ -126,7 +127,8 @@ def _report(n: int, best, per_k) -> NormalityReport:
 
 def check_measure_n(n: int) -> None:
     """The measure's domain is N <= 2^30: window codes (< N) and indices are
-    int32, and p*2^k for a position p and k <= 30 fits in int64."""
+    int32, and a scan's terms lie in [-N, (G-1)*2^k] for k-1's largest group
+    G <= N+1, so in int64 for k <= 30, and in int32 when (G-1)*2^k < 2^31."""
     if n > MAX_MEASURE_N:
         raise ValueError(f"sequence length {n} exceeds the measure's limit 2^30")
 
@@ -189,20 +191,17 @@ def normality_naive(seq: BitSequence) -> NormalityReport:
 
 # -- single-pass evaluator ---------------------------------------------
 
-# Positions per chunk: the carry and the scan walk the positions this many
-# at a time and write into the call's chunk buffers. The arrays they make
-# per chunk are flatnonzero's index arrays and the scan's ranks, each of at
-# most 8*CHUNK bytes.
+# Positions per chunk. Per chunk the carry and the scan make only
+# flatnonzero's index arrays and the scan's ranks, each of at most 8*CHUNK bytes.
 CHUNK = 1 << 15
 
 
 class _Buffers:
-    """The chunk buffers of one call, each one entry longer than a chunk,
-    written by every k's carry and scan."""
+    """One call's chunk buffers, each one entry longer than a chunk."""
 
     def __init__(self, n: int):
         size = min(CHUNK, n + 1) + 1
-        self.ramp = np.arange(size, dtype=np.int64)  # 0, 1, 2, ...
+        self.ramp = np.arange(size, dtype=np.int32)  # 0, 1, 2, ...
         self.codes = np.empty(size, np.int32)
         self.moved = np.empty((2, size), np.int32)
         self.new = np.empty(size, bool)
@@ -255,27 +254,30 @@ def _carry(
 
 
 def _scan_k(
-    order: np.ndarray, ck: np.ndarray, k: int, buf: _Buffers
+    order: np.ndarray, ck: np.ndarray, k: int, buf: _Buffers, g_prev: int
 ) -> tuple[int, tuple[int, int, int], int]:
     """This k's maximum scaled deviation max_{X,M} |2^k*T(M,X) - M|, the
     smallest (pattern, M, T) attaining it, and the size of the largest
-    group of equal codes, from the windows' stable order by code and their
-    preceding digits in that order, in one pass over the positions a chunk
-    at a time.
+    group of equal codes, from the windows' stable order by code, their
+    preceding digits in that order and k-1's largest group g_prev, in one
+    pass over the positions a chunk at a time.
 
     Position p of a group starting at s holds the window ending at
     e = order[p], i = e - k, with occurrence rank r = p - s + 1, so with
     d[p] = (r-1)*2^k - e, the term as it arrives, at M = i+1 with T = r,
     is 2^k*r - (i+1) = d[p] + 2^k + k - 1, and the term just before, at
     M = i with T = r-1, is i - 2^k*(r-1) = -d[p] - k; the two differ, as
-    their sum is odd. The positions run in code order, then end order, so
-    the first position at the largest term holds the smallest pattern and
-    its smallest M. The last term, at step m, is m - 2^k*size, or m for a
-    missing pattern, above every present one's and every term just
-    before; it wins a tie only with a smaller pattern.
+    their sum is odd. The group lies in one of k-1's, so r <= g_prev and d
+    is int32 when (g_prev-1)*2^k < 2^31, else int64; the test is strict,
+    as numpy's int32 shifts wrap silently. The positions run in code,
+    then end order, so the first position at the largest term holds the
+    smallest pattern and its smallest M. The last term, at step m, is
+    m - 2^k*size, or m for a missing pattern, above every present one's
+    and every term just before; it wins a tie only with a smaller pattern.
     """
     m = order.shape[0]
     mask = (1 << k) - 1
+    dt = np.int32 if (g_prev - 1) << k < 1 << 31 else np.int64
     first = groups = 0  # the start of the group holding a; groups started before a
     top, witness = -1, None  # the largest term so far and its (x, M, T)
     xmiss = -1  # the first missing code
@@ -301,7 +303,7 @@ def _scan_k(
         np.subtract(starts[1:g], starts[: g - 1], out=buf.sizes[: g - 1])
         buf.sizes[g - 1] = size - starts[g - 1]  # each group's positions here
         starts[0] = first - a
-        d = np.repeat(starts[:g], buf.sizes[:g])  # each position's s, less a
+        d = np.repeat(starts[:g].astype(dt), buf.sizes[:g])  # each position's s, less a
         np.subtract(buf.ramp[:size], d, out=d)
         d <<= k
         d -= order[a:b]
@@ -384,8 +386,9 @@ def normality_fast(seq: BitSequence) -> NormalityReport:
         return _report(n, None, ())
     per_k: list[tuple[int, ExactValue]] = []
     best: tuple[int, ...] = (-1, 0)  # num, k, x, m, t; k = 1 beats it
+    g = n + 1  # the largest group of k-1's codes, as in normality_value
     for k, order, ck, buf in _sorted_windows(seq):
-        num, witness, _ = _scan_k(order, ck, k, buf)
+        num, witness, g = _scan_k(order, ck, k, buf, g)
         per_k.append((k, ExactValue(num, k)))
         if _better(num, k, best[0], best[1]):
             best = (num, k, *witness)
@@ -404,7 +407,7 @@ def normality_value(seq: BitSequence) -> ExactValue:
         if g << bk <= num:
             break
         _, order, ck, buf = next(windows)
-        cand, _, g = _scan_k(order, ck, k, buf)
+        cand, _, g = _scan_k(order, ck, k, buf, g)
         if _better(cand, k, num, bk):
             num, bk = cand, k
     return ExactValue(num, bk)

@@ -171,8 +171,8 @@ def lemma1_verify(
     phi_envelope returns the integers 2^w * Phi(m) at the checkpoints
     alone, evaluating only the prefixes whose Lipschitz bound can beat the
     running maximum. The digit prefix is shared by both sides, so the
-    inequality is exact (no epsilon handling). Given checkpoints are sorted,
-    deduplicated and passed to check_checkpoints before any digit is read.
+    inequality is exact (no epsilon handling). Given checkpoints are read by
+    check_int, then sorted, deduplicated and checked before any digit is read.
     """
     n = check_int(n, "n", 1)
     w = _check_window(n, w)
@@ -180,7 +180,8 @@ def lemma1_verify(
     if checkpoints is None:
         cps = default_checkpoints(n)
     else:
-        cps = check_checkpoints(sorted(set(checkpoints)), n)
+        cps = {check_int(c, "checkpoint", 1, n) for c in checkpoints}
+        cps = check_checkpoints(sorted(cps), n)
     digits = _orbit_digits(stream, n, w)
     nums = _window_numerators(digits.to_numpy(), n, w)
     env = phi_envelope(nums, w, cps)

@@ -318,6 +318,15 @@ def test_argument_checks(call, message):
         call()
 
 
+def test_decimal_str_reads_integers_and_refuses_floats():
+    assert decimal_str(np.int64(3), 4) == "0.75"
+    assert decimal_str(-3, np.uint8(4)) == "-0.75"  # margins can be negative
+    assert decimal_str(-1, 3) == "-0.33333333333333333"
+    for num, den in ((0.1, 1), (1, 4.0), (Fraction(1, 2), 1)):
+        with pytest.raises(TypeError):
+            decimal_str(num, den)
+
+
 @pytest.mark.parametrize(
     "value,lo,hi",
     [(True, 0, 1), (np.uint64((1 << 64) - 1), 0, None), (np.int8(-3), -5, 0),

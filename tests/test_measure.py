@@ -133,6 +133,26 @@ class TestOracleEquivalence:
         assert reports_equal(normality_naive(seq), normality_fast(seq))
 
 
+@pytest.mark.parametrize("digit", [0, 1])
+@pytest.mark.parametrize("n", [65535, 65536, 65551])
+def test_constant_digits_at_the_int32_boundary(n, digit):
+    # All N+1-k windows of length k are one pattern, so the scan's ranks run
+    # up to N+1-k and its largest term (r-1)*2^k is (N-k)*2^k. At 65535,
+    # k = 15 runs in int32 with terms up to 2^31 - 2^19; at 65536 the terms
+    # need int64 at k = 16, and at 65551 already at k = 15 (2^31).
+    seq = BitSequence(np.full(n, digit, dtype=np.uint8))
+    rep = normality_fast(seq)
+    kmax = max_block_length(n)
+    assert rep.per_k_max == tuple(
+        (k, ExactValue((n + 1 - k) * ((1 << k) - 1), k)) for k in range(1, kmax + 1)
+    )
+    k = rep.witness_k
+    assert rep.value == zeros_closed_form(n) == rep.per_k_max[k - 1][1]
+    assert rep.witness_pattern == Pattern(k, digit * ((1 << k) - 1))
+    assert rep.witness_m == rep.witness_t == n + 1 - k
+    assert normality_value(seq) == rep.value
+
+
 def window_codes(bits: np.ndarray, k: int) -> np.ndarray:
     """codes[i] = the k bits from position i read as a binary number."""
     m = bits.size + 1 - k

@@ -2,6 +2,7 @@ import itertools
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from normbits.bitcore import BitSequence, ExactValue, Pattern
@@ -146,6 +147,10 @@ class TestLemma1Verify:
         with pytest.raises(ValueError):
             lemma1_verify(s, 16, 16, checkpoints=[])
 
+    def test_numpy_checkpoint_equal_to_an_int_is_one_checkpoint(self):
+        rep = lemma1_verify(stream("random:3"), 16, 16, checkpoints=[np.int64(4), 4])
+        assert [c.n for c in rep.checkpoints] == [4]
+
     def test_default_checkpoints(self):
         assert default_checkpoints(1) == [1]
         assert default_checkpoints(8) == [1, 2, 4, 8]
@@ -248,6 +253,15 @@ def _unread():
                      id="lemma1_verify-checkpoint"),
         pytest.param(lambda: lemma1_verify(_unread(), 16, 16, checkpoints=[2.5]),
                      "checkpoint=2.5 is not an integer", id="lemma1_verify-float"),
+        # each checkpoint is read before they are sorted and deduplicated
+        pytest.param(lambda: lemma1_verify(_unread(), 16, 16, checkpoints=["a", 1]),
+                     "checkpoint='a' is not an integer", id="lemma1_verify-str"),
+        pytest.param(lambda: lemma1_verify(_unread(), 16, 16, checkpoints=[4, 4.0]),
+                     "checkpoint=4.0 is not an integer",
+                     id="lemma1_verify-float-after-int"),
+        pytest.param(lambda: lemma1_verify(_unread(), 16, 16, checkpoints=[4.0, 4]),
+                     "checkpoint=4.0 is not an integer",
+                     id="lemma1_verify-float-before-int"),
     ],
 )
 def test_argument_checks(call, message):
