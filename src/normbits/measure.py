@@ -3,11 +3,13 @@
 The measure is the maximum, over block lengths k with 2^k <= N, patterns X
 of length k, and window counts M <= N+1-k, of |T(E,M,X) - M/2^k|, where T
 counts the windows among the first M that equal X. Three evaluators are
-provided:
+provided; each runs one pass per k, and one reducer, :func:`_report`,
+builds a report from each pass's k, peak and witness:
 
 * :func:`normality_naive` walks every (k, X, M) triple by definition and is
   the testing oracle.
-* :func:`normality_fast` runs one pass per k. A pattern's 2^k*T - M rises
+* :func:`normality_fast` reads one driver, :func:`_passes`, which runs a
+  k's carry and scan only when k is asked for. A pattern's 2^k*T - M rises
   by 2^k - 1 as one of its windows arrives and falls by 1 at every other
   step, so |2^k*T - M| peaks as a window arrives, just before one
   arrives, or at the last step. The pass works entirely in the windows'
@@ -27,10 +29,10 @@ provided:
   entries; the carry and the scan walk the positions one chunk at a time
   and write into one set of chunk buffers per call, beside which a call
   holds a side buffer of two int32 per digit equal to 1.
-* :func:`normality_value` runs the same passes for the value alone and
-  stops before the pass for k once G <= B, where B is the best value over
-  the k's before it and G the largest group of equal codes among the
-  N+2-k windows of length k-1 (G = N+1 for k = 1). Proof: take j >= k, X
+* :func:`normality_value` reads the same driver for the value alone and
+  stops after the pass for k-1 once G <= B, where B is the best value up
+  to k-1 and G the largest group of equal codes among the N+2-k windows
+  of length k-1, so k's pass never runs. Proof: take j >= k, X
   of length j and M <= N+1-j. Each window equal to X starts with one
   equal to X's first k-1 bits, so T - M/2^j < T <= G; and M/2^j - T <=
   (N+1-j)/2^j <= (N+1-k)/2^k, below the mean group size (N+2-k)/2^(k-1)
@@ -117,11 +119,18 @@ def count_occurrences(seq: BitSequence, m: int, pattern: Pattern) -> int:
     return count
 
 
-def _report(n: int, best, per_k) -> NormalityReport:
-    """The report of witness best = (num, k, x, m, t), or of no k when None."""
+def _report(n: int, passes) -> NormalityReport:
+    """The report of the passes (k, num, (x, M, T), ...), k = 1, 2, ...:
+    each k's num/2^k and the largest, with its witness at the smallest k."""
+    per_k: list[tuple[int, ExactValue]] = []
+    best = None  # num, k, (x, m, t)
+    for k, num, witness, *_ in passes:
+        per_k.append((k, ExactValue(num, k)))
+        if best is None or _better(num, k, best[0], best[1]):
+            best = (num, k, witness)
     if best is None:
         return NormalityReport(n, ExactValue(0), None, None, None, None, ())
-    num, k, x, m, t = best
+    num, k, (x, m, t) = best
     return NormalityReport(n, ExactValue(num, k), k, Pattern(k, x), m, t, tuple(per_k))
 
 
@@ -151,14 +160,16 @@ def _better(cand_num: int, cand_k: int, best_num: int, best_k: int) -> bool:
 def normality_naive(seq: BitSequence) -> NormalityReport:
     """Reference evaluator: enumerates every pattern and takes cumulative
     counts over M directly from the definition."""
+    return _report(len(seq), _naive_passes(seq))
+
+
+def _naive_passes(seq: BitSequence):
+    """(k, max_{X,M} |2^k*T(M,X) - M|, the smallest (pattern, M, T)
+    attaining it) for k = 1 .. floor(log2 N), by definition."""
     n = len(seq)
     check_measure_n(n)
     klim = max_block_length(n)
-    if klim < 1:
-        return _report(n, None, ())
     bits = seq.to_numpy().astype(np.int32)
-    best: Optional[tuple[int, int, int, int, int]] = None  # num, k, x, m, t
-    per_k: list[tuple[int, ExactValue]] = []
     # Scaled deviations are bounded by n << klim.
     dt = np.int32 if (n << klim) < (1 << 31) else np.int64
     codes = bits.copy()
@@ -183,10 +194,7 @@ def normality_naive(seq: BitSequence) -> NormalityReport:
                     mi = int(arg[j])
                     k_best = (num, x0 + j, mi + 1, int(t[j, mi]))
         assert k_best is not None
-        per_k.append((k, ExactValue(k_best[0], k)))
-        if best is None or _better(k_best[0], k, best[0], best[1]):
-            best = (k_best[0], k, k_best[1], k_best[2], k_best[3])
-    return _report(n, best, per_k)
+        yield k, k_best[0], k_best[1:]
 
 
 # -- single-pass evaluator ---------------------------------------------
@@ -351,15 +359,18 @@ def _preceding_digits(
         w <<= 1
 
 
-def _sorted_windows(seq: BitSequence):
-    """(k, the windows' stable order by code, their preceding digits in
-    that order, the call's chunk buffers) for k = 1 .. floor(log2 N), each
-    k's carry run only when k is asked for. Every k's pair is a view of
-    one pair of n+1 entries, carried in place. Window i of length k is
-    held by its end i+k in the order and carries the digits before
-    position i+k, so its code is their low k bits."""
+def _passes(seq: BitSequence):
+    """(k, this k's peak num, its witness (x, M, T), its largest group)
+    from _scan_k for k = 1 .. floor(log2 N), each k's carry run only when
+    k is asked for. Every k's pair is a view of one pair of n+1 entries,
+    carried in place. Window i of length k is held by its end i+k in the
+    order and carries the digits before position i+k, so its code is
+    their low k bits."""
     n = len(seq)
+    check_measure_n(n)
     kmax = max_block_length(n)
+    if kmax < 1:
+        return
     bits = seq.to_numpy()
     buf = _Buffers(n)
     pair = np.empty((2, n + 1), dtype=np.int32)
@@ -371,43 +382,27 @@ def _sorted_windows(seq: BitSequence):
     _preceding_digits(bits, kmax, ck.view(np.uint32), buf.codes.view(np.uint32))
     side = np.empty((2, np.count_nonzero(bits)), dtype=np.int32)
     code0 = 0  # the code of window 0
+    g = n + 1  # the largest group of k-1's codes; k = 0: n+1 empty windows
     for k in range(1, kmax + 1):
         size = n + 1 - k
         _carry(pair[:, : size + 1], code0, k, side, buf)
         code0 = (code0 << 1) | int(bits[k - 1])
-        yield k, order[:size], ck[:size], buf
+        num, witness, g = _scan_k(order[:size], ck[:size], k, buf, g)
+        yield k, num, witness, g
 
 
 def normality_fast(seq: BitSequence) -> NormalityReport:
     """Single-pass-per-k evaluator; contract identical to normality_naive."""
-    n = len(seq)
-    check_measure_n(n)
-    if max_block_length(n) < 1:
-        return _report(n, None, ())
-    per_k: list[tuple[int, ExactValue]] = []
-    best: tuple[int, ...] = (-1, 0)  # num, k, x, m, t; k = 1 beats it
-    g = n + 1  # the largest group of k-1's codes, as in normality_value
-    for k, order, ck, buf in _sorted_windows(seq):
-        num, witness, g = _scan_k(order, ck, k, buf, g)
-        per_k.append((k, ExactValue(num, k)))
-        if _better(num, k, best[0], best[1]):
-            best = (num, k, *witness)
-    return _report(n, best, per_k)
+    return _report(len(seq), _passes(seq))
 
 
 def normality_value(seq: BitSequence) -> ExactValue:
     """normality_fast(seq).value, without the witness or the k's that
     cannot beat the best (module docstring)."""
-    n = len(seq)
-    check_measure_n(n)
     num = bk = 0  # the best value num/2^bk over the k's run so far
-    g = n + 1  # the largest group of k-1's codes; k = 0: n+1 empty windows
-    windows = _sorted_windows(seq)
-    for k in range(1, max_block_length(n) + 1):
-        if g << bk <= num:
-            break
-        _, order, ck, buf = next(windows)
-        cand, _, g = _scan_k(order, ck, k, buf, g)
+    for k, cand, _, g in _passes(seq):
         if _better(cand, k, num, bk):
             num, bk = cand, k
+        if g << bk <= num:
+            break
     return ExactValue(num, bk)

@@ -316,6 +316,60 @@ class TestValueOnly:
         assert normality_fast(seq).witness_k == 12
         assert self.scanned(seq, monkeypatch) == list(range(1, 13))
 
+    @pytest.fixture(scope="class")
+    def stops(self):
+        """Each sequence with the k's normality_value must run: up to the
+        first k whose largest group of equal codes, counted afresh, is at
+        most the best of normality_fast's per-k values up to k, else all."""
+        small = (
+            BitSequence(bits)
+            for n in range(0, 13)
+            for bits in itertools.product((0, 1), repeat=n)
+        )
+        long = (
+            sequence(spec, n)
+            for n in (4096, 1 << 16)
+            for spec in ("random:1", "champernowne", "rational:1/3", "0")
+        )
+        # the shortest sequence stopped by a tie: G = B = 5 after k = 3 of 4
+        tie = parse_bits("0000000100100101")
+        cases = []
+        for seq in itertools.chain(small, long, [tie]):
+            bits = seq.to_numpy().astype(np.int64)
+            best, ks = ExactValue(0), []
+            for k, value in normality_fast(seq).per_k_max:
+                ks.append(k)
+                best = max(best, value)
+                group = np.unique(window_codes(bits, k), return_counts=True)[1].max()
+                if ExactValue(int(group)) <= best:
+                    break
+            cases.append((seq, ks))
+        return cases
+
+    @pytest.mark.parametrize("chunk", [measure.CHUNK, 3])
+    def test_runs_exactly_up_to_the_stop(self, chunk, stops, monkeypatch):
+        # every k up to the stop is scanned, and a k is carried only when
+        # it is scanned: none past the stop
+        monkeypatch.setattr(measure, "CHUNK", chunk)
+        carried, scanned = [], []
+        carry, scan = measure._carry, measure._scan_k
+
+        def carry_spy(pair, code0, k, *rest):
+            carried.append(k)
+            return carry(pair, code0, k, *rest)
+
+        def scan_spy(order, ck, k, *rest):
+            scanned.append(k)
+            return scan(order, ck, k, *rest)
+
+        monkeypatch.setattr(measure, "_carry", carry_spy)
+        monkeypatch.setattr(measure, "_scan_k", scan_spy)
+        for seq, want in stops:
+            carried.clear()
+            scanned.clear()
+            normality_value(seq)
+            assert scanned == carried == want, (len(seq), seq.to01()[:16])
+
 
 def witness_branch(seq: BitSequence, rep) -> str:
     """Which extreme the witness (k, X, M, T) sits at: a count above M/2^k
