@@ -27,8 +27,13 @@ builds a report from each pass's k, peak and witness:
   those terms, in [-N, (G-1)*2^k], are int32 when (G-1)*2^k < 2^31.
   Every k's order and digits overwrite k-1's in one pair of N+1 int32
   entries; the carry and the scan walk the positions one chunk at a time
-  and write into one set of chunk buffers per call, beside which a call
-  holds a side buffer of two int32 per digit equal to 1.
+  and write into one set of chunk buffers per call. The carry moves in
+  place every entry but the ones (bit k-1 set) that a zero would
+  overwrite, those below Z, the count of k's zeros, which wait in a side
+  buffer of two int32 each: the other ones move up by the saved ones
+  less the zeros before them, or, after the last zero, down by one. The
+  buffer is made once per call, for the most any k saves, at most
+  min(Z, ones) (none for all ones or all zeros).
 * :func:`normality_value` reads the same driver for the value alone and
   stops after the pass for k-1 once G <= B, where B is the best value up
   to k-1 and G the largest group of equal codes among the N+2-k windows
@@ -222,8 +227,18 @@ def _position(ck: np.ndarray, mask: int, x: int) -> int:
     return bisect_left(range(ck.shape[0]), x, key=lambda p: ck.item(p) & mask)
 
 
+def _gather(part: np.ndarray, mask: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Copy the columns of the two rows `part` where `mask` is set, in
+    order, to the first columns of `out`, which does not overlap `part`;
+    return their indices."""
+    idx = np.flatnonzero(mask)
+    np.take(part[0], idx, out=out[0, : idx.size], mode="clip")  # in range: no buffer
+    np.take(part[1], idx, out=out[1, : idx.size], mode="clip")
+    return idx
+
+
 def _carry(
-    pair: np.ndarray, code0: int, k: int, side: np.ndarray, buf: _Buffers
+    pair: np.ndarray, code0: int, k: int, ones: int, side: np.ndarray, buf: _Buffers
 ) -> None:
     """Turn the windows' stable order by code for k-1, with their preceding
     digits in that order (the two rows of pair), into the pair for k, in
@@ -231,34 +246,61 @@ def _carry(
     digit j-1 followed by window j of length k-1 and ends where it ends,
     so it keeps its entry in order (the end) and in ck, where that digit
     is bit k-1. So drop window 0, of code code0, and partition the rest
-    stably by bit k-1, zeros first. One LSD radix pass, one chunk at a
-    time: a chunk's ones go to the side buffer (ends in side[0], digits in
-    side[1]) and its zeros move down, never past the positions read so
-    far; the ones then fill the tail.
+    stably by bit k-1, zeros first: one LSD radix pass. Of the L entries,
+    `ones` have bit k-1 set, and the Z = L - 1 - ones others, the drop not
+    counted, end in [0, Z). Three sweeps, each one chunk at a time:
+
+    1. Forward: the zeros move down into [0, Z), never past the positions
+       read so far, and the S ones below Z, which zeros will overwrite,
+       go to the side buffer (ends in side[0], digits in side[1]).
+    2. A one at p >= Z ends at Z + S + (the ones in [Z, p)), while p is
+       Z + (the ones in [Z, p)) + (the holes, zeros or the drop, in
+       [Z, p)); [Z, L) holds L - Z - (ones - S) = S + 1 holes, so each
+       one moves up by S less the holes before it, or stays, except the
+       run after the last hole h, which moves down one. That run moves
+       forward; then [Z, h) is swept backward, each chunk's ones written
+       right-aligned below h. None lands below its chunk's start, so a
+       chunk overwrites only positions already read.
+    3. The saved ones fill [Z, Z + S).
+
+    S <= min(Z, ones), which sizes the side buffer.
     """
-    order, ck = pair
+    ck = pair[1]
+    size = pair.shape[1]
+    bit = 1 << (k - 1)
+    z = size - 1 - ones
     # window 0 has the smallest end, k-1, so it comes first in its group
-    drop = _position(ck, (1 << (k - 1)) - 1, code0)
-    zeros = ones = 0
-    for a in range(0, order.size, CHUNK):
-        o, c = order[a : a + CHUNK], ck[a : a + CHUNK]
-        # bit k-1 of each, cast to bool on the way out
-        one = np.bitwise_and(c, 1 << (k - 1), out=buf.new[: c.size], casting="unsafe")
-        idx = np.flatnonzero(one)
-        end = ones + idx.size
-        np.take(o, idx, out=side[0, ones:end], mode="clip")  # in range: no buffer
-        np.take(c, idx, out=side[1, ones:end], mode="clip")
-        ones = end
+    drop = _position(ck, bit - 1, code0)
+    zeros = saved = 0
+    last = drop  # the last hole
+    for a in range(0, size, CHUNK):
+        part = pair[:, a : a + CHUNK]
+        one = buf.new[: part.shape[1]]  # bit k-1 of each, cast to bool
+        np.bitwise_and(part[1], bit, out=one, casting="unsafe")
+        if a < z:
+            saved += _gather(part, one[: z - a], side[:, saved:]).size
         zero = np.logical_not(one, out=one)
         if a <= drop < a + CHUNK:
             zero[drop - a] = False  # window 0 reads a zero before position 0
-        idx = np.flatnonzero(zero)
-        moved = buf.moved[:, : idx.size]  # take would copy an out that overlaps
-        np.take(o, idx, out=moved[0], mode="clip")
-        np.take(c, idx, out=moved[1], mode="clip")
-        pair[:, zeros : zeros + idx.size] = moved
-        zeros += idx.size
-    pair[:, zeros : zeros + ones] = side[:, :ones]
+        idx = _gather(part, zero, buf.moved)
+        if idx.size:
+            pair[:, zeros : zeros + idx.size] = buf.moved[:, : idx.size]
+            zeros += idx.size
+            last = max(last, a + int(idx[-1]))
+    for a in range(last + 1, size, CHUNK):
+        part = pair[:, a : a + CHUNK]
+        moved = buf.moved[:, : part.shape[1]]
+        moved[...] = part
+        pair[:, a - 1 : a - 1 + part.shape[1]] = moved
+    top = last  # the ones of [z, last) end right-aligned below it
+    for b in range(last, z, -CHUNK):
+        a = max(b - CHUNK, z)
+        one = buf.new[: b - a]
+        np.bitwise_and(ck[a:b], bit, out=one, casting="unsafe")
+        count = _gather(pair[:, a:b], one, buf.moved).size
+        pair[:, top - count : top] = buf.moved[:, :count]
+        top -= count
+    pair[:, z : z + saved] = side[:, :saved]
 
 
 def _scan_k(
@@ -380,12 +422,18 @@ def _passes(seq: BitSequence):
         np.add(buf.ramp[: part.size], a, out=part)
     # unsigned, as the top digit may land on bit 31
     _preceding_digits(bits, kmax, ck.view(np.uint32), buf.codes.view(np.uint32))
-    side = np.empty((2, np.count_nonzero(bits)), dtype=np.int32)
+    # ones[k-1]: the ones among digits 0 .. n-k, the bits k-1 of k's carry
+    ones = [int(np.count_nonzero(bits))]
+    for k in range(2, kmax + 1):
+        ones.append(ones[-1] - int(bits[n + 1 - k]))
+    # k's carry saves at most min(Z, ones) of them, Z = n+1-k - ones
+    saved = max(min(n + 1 - k - o, o) for k, o in enumerate(ones, 1))
+    side = np.empty((2, saved), dtype=np.int32)
     code0 = 0  # the code of window 0
     g = n + 1  # the largest group of k-1's codes; k = 0: n+1 empty windows
     for k in range(1, kmax + 1):
         size = n + 1 - k
-        _carry(pair[:, : size + 1], code0, k, side, buf)
+        _carry(pair[:, : size + 1], code0, k, ones[k - 1], side, buf)
         code0 = (code0 << 1) | int(bits[k - 1])
         num, witness, g = _scan_k(order[:size], ck[:size], k, buf, g)
         yield k, num, witness, g

@@ -185,7 +185,7 @@ def typical_scan(n: int, samples: int, seed: int) -> ScanStats:
     Sample i draws its bits from the documented PRNG under the derived
     seed sample_seed(seed, i), output i of splitmix64 under `seed`, so the
     scan is reproducible from (n, samples, seed) alone. Quantiles use
-    numpy's linear interpolation.
+    numpy's linear interpolation (:func:`_linear_quantiles`).
     """
     samples = check_int(samples, "samples", 1, MAX_SCAN_SAMPLES)
     n = check_int(n, "n", 1)
@@ -196,11 +196,32 @@ def typical_scan(n: int, samples: int, seed: int) -> ScanStats:
     for i, sample in enumerate(splitmix64_outputs(seed, samples)):
         seq = random_bits(int(sample), n)
         ratios[i] = float(normality_value(seq)) / root
-    qs = np.quantile(ratios, _QUANTILE_LEVELS)
     return ScanStats(
         n=n,
         samples=samples,
         seed=seed,
         algorithm=RANDOM_ALGORITHM,
-        quantiles=tuple(float(q) for q in qs),
+        quantiles=_linear_quantiles(ratios),
     )
+
+
+def _linear_quantiles(values: np.ndarray) -> tuple[float, ...]:
+    """np.quantile(values, _QUANTILE_LEVELS), numpy's default linear
+    method, bit for bit, without the numpy.ma that np.quantile imports:
+    level q reads the sorted values at position (S-1)*q, the last one at
+    or past S-1, else a + d*t between its floor's value a and the next,
+    d apart, as b - d*(1-t) from the next, b, where t >= 0.5."""
+    ranked = np.sort(values).tolist()
+    top = len(ranked) - 1
+    out = []
+    for q in _QUANTILE_LEVELS:
+        pos = top * q
+        if pos >= top:
+            out.append(ranked[-1])
+            continue
+        i = math.floor(pos)
+        t = pos - i
+        a, b = ranked[i], ranked[i + 1]
+        d = b - a
+        out.append(b - d * (1 - t) if t >= 0.5 else a + d * t)
+    return tuple(out)

@@ -176,6 +176,13 @@ CARRY_CASES = [
     ("0", 300), ("1", 300), ("rational:1/3", 500), ("rational:1/7", 777),
     ("champernowne", 1000), ("random:5", 2), ("random:6", 3), ("random:7", 7),
     ("random:8", 255), ("random:9", 1024), ("random:10", 4097),
+    # The carry's side buffer holds the ones below Z, the zeros' count, and
+    # the run of ones after the last zero moves down one. All ones moves a
+    # run of n-k+1 and saves none; here the runs are up to 14 long, so
+    # they span chunks of three; and 1^100 0^200 saves all 100 of its ones
+    # at k = 1, which fills the side buffer, min(Z, ones) = 100 at k = 1.
+    pytest.param("0" + "1" * 20, 300, id="0-1x20-300"),
+    pytest.param("1" * 100 + "0" * 200, 300, id="1x100-0x200-300"),
 ]
 
 
@@ -246,7 +253,7 @@ class TestChunkEdges:
         ],
     )
     def test_long(self, spec, n, monkeypatch):
-        # All ones fills the ones' side buffer; all zeros puts the witness
+        # All ones moves one run across every chunk; all zeros puts the witness
         # group, of n+1-k windows, across every chunk; 1/3's witness is a
         # missing pattern at the last step, and Champernowne has every
         # pattern at the low k's and misses some at the top ones.
@@ -259,21 +266,34 @@ class TestChunkEdges:
             assert whole.value == zeros_closed_form(n)
 
 
+def traced_peak(evaluate, seq: BitSequence) -> int:
+    """The tracemalloc peak of one call, the digits not counted."""
+    tracemalloc.start()
+    try:
+        evaluate(seq)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("evaluate", [normality_fast, normality_value])
 @pytest.mark.parametrize("spec", ["random:1", "champernowne", "1"])
 def test_memory_per_digit(spec, evaluate):
     # One pair of int32 window orders and preceding digits (8 bytes a
-    # digit), the ones' side buffer (8 bytes a one), the chunk buffers and
+    # digit), the side buffer (8 bytes a one, at most min(Z, ones) of
+    # them, Z the zeros' count), the chunk buffers and
     # index arrays of one chunk; the digits themselves are not counted.
     n = 1 << 20
-    seq = sequence(spec, n)
-    tracemalloc.start()
-    try:
-        evaluate(seq)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 20 * n
+    assert traced_peak(evaluate, sequence(spec, n)) <= 20 * n
+
+
+@pytest.mark.parametrize("evaluate", [normality_fast, normality_value])
+@pytest.mark.parametrize("spec", ["0", "1"])
+def test_memory_per_digit_constant(spec, evaluate):
+    # The carry saves only the ones below the zeros' count, none when the
+    # digits are all ones or all zeros: the pair and one chunk's buffers.
+    n = 1 << 20
+    assert traced_peak(evaluate, sequence(spec, n)) <= 10 * n
 
 
 class TestValueOnly:

@@ -1,8 +1,13 @@
 import itertools
+import os
+import subprocess
+import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 
+import normbits
 from normbits import search
 from normbits.bitcore import BitSequence, ExactValue
 from normbits.generators import sample_seed
@@ -178,6 +183,36 @@ class TestTypicalScan:
         monkeypatch.setattr(search.np, "empty", fail)
         with pytest.raises(ValueError, match=r"^samples=16777217 outside \[1, 16777216\]$"):
             typical_scan(16, (1 << 24) + 1, 1)
+
+    def test_quantiles_match_numpy(self):
+        # sizes 1 to 400, half of them with ties, at every level the scan
+        # reports; np.quantile is the oracle, compared bit for bit
+        rng = np.random.default_rng(20260)
+        for i in range(20000):
+            size = int(rng.integers(1, 401))
+            if i % 2:
+                values = rng.integers(0, int(rng.integers(1, 50)), size) / 7
+            else:
+                values = rng.random(size) * 10
+            got = search._linear_quantiles(values)
+            want = np.quantile(values, search._QUANTILE_LEVELS)
+            assert [q.hex() for q in got] == [float(q).hex() for q in want], values
+
+    def test_scan_imports_no_numpy_ma(self):
+        # np.quantile imports numpy.ma, about 12 ms in every scan process
+        code = (
+            "import sys\n"
+            "from normbits.cli import run\n"
+            "run(['scan', '--n', '256', '--samples', '20', '--seed', '1'])\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        src = os.path.dirname(os.path.dirname(normbits.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            check=True,
+        ).stdout
+        assert out.splitlines()[-1] == "False"
 
     def test_json_shape(self):
         d = typical_scan(64, 3, 7).to_json_dict()
